@@ -14,10 +14,6 @@ package campaign
 import (
 	"bytes"
 	"fmt"
-	"runtime"
-	"sort"
-	"strconv"
-	"sync"
 	"time"
 
 	"flowery/internal/asm"
@@ -381,70 +377,25 @@ func Run(factory EngineFactory, spec Spec) (Stats, error) {
 	if err := spec.Validate(); err != nil {
 		return Stats{}, err
 	}
-	workers := spec.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > spec.Runs {
-		workers = spec.Runs
-	}
-
-	engines := make([]sim.Engine, workers)
-	for i := range engines {
-		e, err := factory()
-		if err != nil {
-			return Stats{}, fmt.Errorf("campaign: engine %d: %w", i, err)
-		}
-		engines[i] = e
-	}
-
-	gs := spec.Metrics.StartSpan(spec.TraceSpan, "campaign.golden")
-	golden := engines[0].Run(sim.Fault{}, sim.Options{MaxSteps: spec.MaxSteps, Reference: spec.Reference, Metrics: spec.Metrics})
-	gs.SetIntAttr("injectable", golden.InjectableInstrs)
-	gs.End()
-	if golden.Status != sim.StatusOK {
-		return Stats{}, fmt.Errorf("campaign: golden run failed: %v (%v)", golden.Status, golden.Trap)
-	}
-	if golden.InjectableInstrs == 0 {
-		return Stats{}, fmt.Errorf("campaign: program has no injectable instructions")
-	}
-	if err := checkPopulation(spec.Runs, golden.InjectableInstrs); err != nil {
+	c, err := prepare(factory, spec, goldenPlain)
+	if err != nil {
 		return Stats{}, err
 	}
-	goldenOut := append([]byte(nil), golden.Output...)
-
-	faults := make([]sim.Fault, spec.Runs)
-	for i := range faults {
-		faults[i] = faultForRun(spec.Seed, int64(i), golden.InjectableInstrs)
+	defer c.close()
+	res, err := c.runRange(ShardRange{0, spec.Runs})
+	if err != nil {
+		return Stats{}, err
 	}
-	outcomes, simulated, saved := executeFaults(engines, spec, golden, goldenOut, faults)
-
-	total := Stats{
-		Runs:             spec.Runs,
-		GoldenDyn:        golden.DynInstrs,
-		GoldenInjectable: golden.InjectableInstrs,
-		SimulatedInstrs:  golden.DynInstrs + simulated,
-		SavedInstrs:      saved,
-	}
-	// Merge in run order: the aggregate is a pure function of the per-run
-	// outcomes, independent of worker count and batch scheduling.
-	for i := range outcomes {
-		total.Counts[outcomes[i].outcome]++
-		if outcomes[i].outcome == OutcomeSDC {
-			total.SDCByOrigin[outcomes[i].origin]++
-		}
+	res.SetupInstrs = c.setupInstrs()
+	total, err := MergeShards(spec, []ShardResult{res})
+	if err != nil {
+		return Stats{}, err
 	}
 	total.Elapsed = time.Since(start)
 	flushStats(spec.Metrics, total)
 	if spec.Records != nil {
-		for i := range outcomes {
-			spec.Records(Record{
-				Run:     i,
-				Outcome: outcomes[i].outcome,
-				Origin:  outcomes[i].origin,
-				Target:  faults[i].TargetIndex,
-				Bit:     uint8(faults[i].Bit),
-			})
+		for _, rec := range res.Records {
+			spec.Records(rec)
 		}
 	}
 	return total, nil
@@ -480,119 +431,6 @@ func flushStats(reg *telemetry.Registry, total Stats) {
 		reg.Counter("campaign_sections_executed_total").Add(int64(total.SectionsExecuted))
 		reg.Counter("campaign_sections_recalled_total").Add(int64(total.SectionsRecalled))
 	}
-}
-
-// executeFaults runs one faulty execution per fault across a worker pool
-// of len(engines) engines and returns the classified outcome for each
-// fault, indexed like faults, plus the executed and fast-forwarded
-// dynamic instruction counts (excluding the golden run). Results are
-// independent of worker count and scheduling.
-func executeFaults(engines []sim.Engine, spec Spec, golden sim.Result, goldenOut []byte, faults []sim.Fault) ([]runOutcome, int64, int64) {
-	workers := len(engines)
-
-	// A fault that corrupts a loop bound can hang the program; runs far
-	// past the golden length are classified as hangs (DUE) without
-	// burning the global step ceiling.
-	maxSteps := spec.MaxSteps
-	if maxSteps <= 0 {
-		maxSteps = HangFactor*golden.DynInstrs + 100_000
-	}
-
-	// Deal faults round-robin into per-worker batches and sort each batch
-	// by injection point: consecutive runs then restore from nearby
-	// (usually identical) checkpoints, so the snapshot cache stays hot
-	// and prefix reuse is maximal. Outcomes land in per-run slots, so
-	// neither the batch order nor the worker count can perturb the
-	// aggregate.
-	interval := snapshotInterval(spec, golden.InjectableInstrs)
-	batches := make([][]job, workers)
-	for i := range faults {
-		w := i % workers
-		batches[w] = append(batches[w], job{i, faults[i]})
-	}
-	for _, b := range batches {
-		b := b
-		sort.Slice(b, func(i, j int) bool {
-			if b[i].fault.TargetIndex != b[j].fault.TargetIndex {
-				return b[i].fault.TargetIndex < b[j].fault.TargetIndex
-			}
-			return b[i].run < b[j].run
-		})
-	}
-
-	outcomes := make([]runOutcome, len(faults))
-	simulated := make([]int64, workers)
-	saved := make([]int64, workers)
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		w := w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			eng := engines[w]
-			reg := spec.Metrics
-			bs := reg.StartSpan(spec.TraceSpan, "campaign.batch")
-			bs.SetIntAttr("worker", int64(w))
-			bs.SetIntAttr("jobs", int64(len(batches[w])))
-			var bstart time.Time
-			if reg != nil {
-				bstart = time.Now()
-			}
-			opts := sim.Options{MaxSteps: maxSteps, Reference: spec.Reference, Metrics: reg}
-			se, _ := eng.(sim.SnapshotEngine)
-			if se != nil && interval > 0 {
-				g := se.BuildSnapshots(interval, sim.Options{MaxSteps: spec.MaxSteps, Reference: spec.Reference, Metrics: reg})
-				simulated[w] += g.DynInstrs
-				reg.Counter("campaign_snapshot_builds_total").Inc()
-				if g.Status != sim.StatusOK {
-					se = nil // engine degraded; fall back to scratch runs
-				}
-			} else {
-				se = nil
-			}
-			var restores int64
-			for _, j := range batches[w] {
-				rs := reg.StartSpan(bs, "engine.run")
-				var res sim.Result
-				var skipped int64
-				if se != nil {
-					res, skipped = se.RunFrom(j.fault, opts)
-				} else {
-					res = eng.Run(j.fault, opts)
-				}
-				simulated[w] += res.DynInstrs - skipped
-				saved[w] += skipped
-				if skipped > 0 {
-					restores++
-				}
-				o := classify(res, goldenOut)
-				outcomes[j.run] = runOutcome{o, res.InjectedOrigin}
-				rs.SetAttr("outcome", o.String())
-				rs.End()
-			}
-			if se != nil {
-				se.DropSnapshots()
-			}
-			if reg != nil {
-				reg.Counter("campaign_snapshot_restores_total").Add(restores)
-				if el := time.Since(bstart).Seconds(); el > 0 {
-					reg.Gauge(`campaign_worker_injections_per_sec{worker="` + strconv.Itoa(w) + `"}`).
-						Set(float64(len(batches[w])) / el)
-				}
-				reg.Histogram("campaign_batch_seconds").Observe(time.Since(bstart))
-			}
-			bs.End()
-		}()
-	}
-	wg.Wait()
-
-	var simTotal, savedTotal int64
-	for w := 0; w < workers; w++ {
-		simTotal += simulated[w]
-		savedTotal += saved[w]
-	}
-	return outcomes, simTotal, savedTotal
 }
 
 // classify maps a run result to an outcome.

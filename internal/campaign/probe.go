@@ -3,10 +3,8 @@ package campaign
 import (
 	"fmt"
 	"math/bits"
-	"runtime"
 	"time"
 
-	"flowery/internal/equiv"
 	"flowery/internal/sim"
 )
 
@@ -64,31 +62,12 @@ func MaskedProbe(factory EngineFactory, spec Spec, samples int) (ProbeStats, err
 		return ProbeStats{}, fmt.Errorf("campaign: MaskedProbe samples must be >= 1 (got %d)", samples)
 	}
 
-	first, err := factory()
+	c, err := prepare(factory, spec, goldenProbe)
 	if err != nil {
-		return ProbeStats{}, fmt.Errorf("campaign: engine 0: %w", err)
+		return ProbeStats{}, err
 	}
-	te, ok := first.(sim.TraceEngine)
-	if !ok {
-		return ProbeStats{}, fmt.Errorf("campaign: engine %T does not support def-use tracing", first)
-	}
-
-	rules := equiv.DefaultRules(spec.Seed)
-	rules.MaxSample = 256
-	col := equiv.NewCollector(rules)
-	golden := te.RunTraced(sim.Options{MaxSteps: spec.MaxSteps, Reference: spec.Reference, Metrics: spec.Metrics}, col)
-	if golden.Status != sim.StatusOK {
-		return ProbeStats{}, fmt.Errorf("campaign: golden run failed: %v (%v)", golden.Status, golden.Trap)
-	}
-	if golden.InjectableInstrs == 0 {
-		return ProbeStats{}, fmt.Errorf("campaign: program has no injectable instructions")
-	}
-	part := col.Close()
-	if part.Population != golden.InjectableInstrs {
-		return ProbeStats{}, fmt.Errorf("campaign: tracer recorded %d defs for %d injectable sites (engine def-order contract violated)",
-			part.Population, golden.InjectableInstrs)
-	}
-	goldenOut := append([]byte(nil), golden.Output...)
+	defer c.close()
+	part := c.part
 
 	// Enumerate the masked population: for each live class, the masked
 	// choice list and its (site × choice) mass.
@@ -149,23 +128,10 @@ func MaskedProbe(factory EngineFactory, spec Spec, samples int) (ProbeStats, err
 		faults[i] = sim.Fault{TargetIndex: site, Bit: mc.choices[h%uint64(len(mc.choices))]}
 	}
 
-	workers := spec.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	outcomes, _, _, err := c.execute(faults)
+	if err != nil {
+		return ProbeStats{}, err
 	}
-	if workers > len(faults) {
-		workers = len(faults)
-	}
-	engines := make([]sim.Engine, workers)
-	engines[0] = first
-	for i := 1; i < workers; i++ {
-		e, err := factory()
-		if err != nil {
-			return ProbeStats{}, fmt.Errorf("campaign: engine %d: %w", i, err)
-		}
-		engines[i] = e
-	}
-	outcomes, _, _ := executeFaults(engines, spec, golden, goldenOut, faults)
 	probe.Samples = len(outcomes)
 	for i := range outcomes {
 		if outcomes[i].outcome == OutcomeBenign {

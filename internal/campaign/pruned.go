@@ -1,8 +1,6 @@
 package campaign
 
 import (
-	"fmt"
-	"runtime"
 	"time"
 
 	"flowery/internal/asm"
@@ -38,42 +36,12 @@ func RunPruned(factory EngineFactory, spec Spec) (Stats, error) {
 		return Stats{}, err
 	}
 
-	first, err := factory()
+	c, err := prepare(factory, spec, goldenTraced)
 	if err != nil {
-		return Stats{}, fmt.Errorf("campaign: engine 0: %w", err)
-	}
-	te, ok := first.(sim.TraceEngine)
-	if !ok {
-		return Stats{}, fmt.Errorf("campaign: engine %T does not support def-use tracing; use Pruning: none", first)
-	}
-
-	rules := equiv.DefaultRules(spec.Seed)
-	// Match the sample to the largest pilot count a stratum can take
-	// (equiv.BuildPlan), so a dominant class draws distinct sites
-	// instead of cycling a short sample, which would put a floor under
-	// the site-heterogeneity variance.
-	rules.MaxSample = 256
-	col := equiv.NewCollector(rules)
-	gs := spec.Metrics.StartSpan(spec.TraceSpan, "campaign.golden")
-	gs.SetAttr("traced", "true")
-	golden := te.RunTraced(sim.Options{MaxSteps: spec.MaxSteps, Reference: spec.Reference, Metrics: spec.Metrics}, col)
-	gs.SetIntAttr("injectable", golden.InjectableInstrs)
-	gs.End()
-	if golden.Status != sim.StatusOK {
-		return Stats{}, fmt.Errorf("campaign: golden run failed: %v (%v)", golden.Status, golden.Trap)
-	}
-	if golden.InjectableInstrs == 0 {
-		return Stats{}, fmt.Errorf("campaign: program has no injectable instructions")
-	}
-	if err := checkPopulation(spec.Runs, golden.InjectableInstrs); err != nil {
 		return Stats{}, err
 	}
-	part := col.Close()
-	if part.Population != golden.InjectableInstrs {
-		return Stats{}, fmt.Errorf("campaign: tracer recorded %d defs for %d injectable sites (engine def-order contract violated)",
-			part.Population, golden.InjectableInstrs)
-	}
-	goldenOut := append([]byte(nil), golden.Output...)
+	defer c.close()
+	part := c.part
 
 	plan := equiv.BuildPlan(part, equiv.PlanSpec{PilotsPerClass: spec.PilotsPerClass, Seed: spec.Seed, Masked: spec.Masks})
 	var faults []sim.Fault
@@ -84,27 +52,9 @@ func RunPruned(factory EngineFactory, spec Spec) (Stats, error) {
 			stratumOf = append(stratumOf, si)
 		}
 	}
-
-	var outcomes []runOutcome
-	var simulated, saved int64
-	if len(faults) > 0 {
-		workers := spec.Workers
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		if workers > len(faults) {
-			workers = len(faults)
-		}
-		engines := make([]sim.Engine, workers)
-		engines[0] = first
-		for i := 1; i < workers; i++ {
-			e, err := factory()
-			if err != nil {
-				return Stats{}, fmt.Errorf("campaign: engine %d: %w", i, err)
-			}
-			engines[i] = e
-		}
-		outcomes, simulated, saved = executeFaults(engines, spec, golden, goldenOut, faults)
+	outcomes, simulated, saved, err := c.execute(faults)
+	if err != nil {
+		return Stats{}, err
 	}
 
 	// Per-stratum outcome tallies, plus SDC origin weights (each pilot
@@ -128,9 +78,9 @@ func RunPruned(factory EngineFactory, spec Spec) (Stats, error) {
 	pairPop := 64 * float64(part.Population)
 	total := Stats{
 		Runs:             spec.Runs,
-		GoldenDyn:        golden.DynInstrs,
-		GoldenInjectable: golden.InjectableInstrs,
-		SimulatedInstrs:  golden.DynInstrs + simulated,
+		GoldenDyn:        c.golden.DynInstrs,
+		GoldenInjectable: c.golden.InjectableInstrs,
+		SimulatedInstrs:  c.setupInstrs() + simulated,
 		SavedInstrs:      saved,
 		Pruned:           true,
 		Classes:          len(part.Classes),

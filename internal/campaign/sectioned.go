@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"runtime"
 	"strconv"
 	"time"
 
@@ -227,38 +226,12 @@ func RunSectioned(factory EngineFactory, spec Spec, opts SectionedOpts) (Section
 		return SectionedResult{}, err
 	}
 
-	first, err := factory()
+	c, err := prepare(factory, spec, goldenTraced)
 	if err != nil {
-		return SectionedResult{}, fmt.Errorf("campaign: engine 0: %w", err)
-	}
-	te, ok := first.(sim.TraceEngine)
-	if !ok {
-		return SectionedResult{}, fmt.Errorf("campaign: engine %T does not support def-use tracing required by sectioned campaigns", first)
-	}
-
-	rules := equiv.DefaultRules(spec.Seed)
-	rules.MaxSample = 256
-	col := equiv.NewCollector(rules)
-	gs := spec.Metrics.StartSpan(spec.TraceSpan, "campaign.golden")
-	gs.SetAttr("traced", "true")
-	golden := te.RunTraced(sim.Options{MaxSteps: spec.MaxSteps, Reference: spec.Reference, Metrics: spec.Metrics}, col)
-	gs.SetIntAttr("injectable", golden.InjectableInstrs)
-	gs.End()
-	if golden.Status != sim.StatusOK {
-		return SectionedResult{}, fmt.Errorf("campaign: golden run failed: %v (%v)", golden.Status, golden.Trap)
-	}
-	if golden.InjectableInstrs == 0 {
-		return SectionedResult{}, fmt.Errorf("campaign: program has no injectable instructions")
-	}
-	if err := checkPopulation(spec.Runs, golden.InjectableInstrs); err != nil {
 		return SectionedResult{}, err
 	}
-	part := col.Close()
-	if part.Population != golden.InjectableInstrs {
-		return SectionedResult{}, fmt.Errorf("campaign: tracer recorded %d defs for %d injectable sites (engine def-order contract violated)",
-			part.Population, golden.InjectableInstrs)
-	}
-	goldenOut := append([]byte(nil), golden.Output...)
+	defer c.close()
+	part := c.part
 
 	subs, err := opts.Table.Split(part)
 	if err != nil {
@@ -317,26 +290,9 @@ func RunSectioned(factory EngineFactory, spec Spec, opts SectionedOpts) (Section
 	}
 
 	// One batch executes every dirty section's pilots.
-	var outcomes []runOutcome
-	var simulated, saved int64
-	if len(faults) > 0 {
-		workers := spec.Workers
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		if workers > len(faults) {
-			workers = len(faults)
-		}
-		engines := make([]sim.Engine, workers)
-		engines[0] = first
-		for i := 1; i < workers; i++ {
-			e, err := factory()
-			if err != nil {
-				return SectionedResult{}, fmt.Errorf("campaign: engine %d: %w", i, err)
-			}
-			engines[i] = e
-		}
-		outcomes, simulated, saved = executeFaults(engines, spec, golden, goldenOut, faults)
+	outcomes, simulated, saved, err := c.execute(faults)
+	if err != nil {
+		return SectionedResult{}, err
 	}
 
 	// Per-(section, stratum) tallies and per-section SDC origin weights
@@ -409,9 +365,9 @@ func RunSectioned(factory EngineFactory, spec Spec, opts SectionedOpts) (Section
 	// Compose summaries into whole-program statistics.
 	total := Stats{
 		Runs:             spec.Runs,
-		GoldenDyn:        golden.DynInstrs,
-		GoldenInjectable: golden.InjectableInstrs,
-		SimulatedInstrs:  golden.DynInstrs + simulated,
+		GoldenDyn:        c.golden.DynInstrs,
+		GoldenInjectable: c.golden.InjectableInstrs,
+		SimulatedInstrs:  c.setupInstrs() + simulated,
 		SavedInstrs:      saved,
 		Pruned:           true,
 		Sectioned:        true,

@@ -2,7 +2,6 @@ package campaign
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -257,21 +256,16 @@ func MergeShards(spec Spec, shards []ShardResult) (Stats, error) {
 // ShardRunner executes disjoint run ranges of one campaign against a
 // persistent engine pool: the golden run happens once, snapshots are
 // built once per engine, and every RunRange after that pays only for
-// its own injections. One runner per worker process (or per in-process
-// executor); not safe for concurrent RunRange calls.
+// its own injections. It is the campaign core (prepare/execute) kept
+// alive across ranges. One runner per worker process (or per
+// in-process executor); not safe for concurrent RunRange calls.
 type ShardRunner struct {
-	spec      Spec
-	engines   []sim.Engine
-	snaps     []sim.SnapshotEngine // nil entries: engine runs from scratch
-	golden    sim.Result
-	goldenOut []byte
-	maxSteps  int64
-	setup     int64 // golden + snapshot-build instructions
+	c *core
 }
 
-// NewShardRunner validates the spec, builds the engine pool
-// (spec.Workers engines, default GOMAXPROCS), executes the golden run,
-// and captures snapshots per the spec's snapshot policy. The returned
+// NewShardRunner validates the spec, executes the golden run, builds
+// the engine pool (spec.Workers engines, default GOMAXPROCS), and
+// captures snapshots per the spec's snapshot policy. The returned
 // runner never emits campaign telemetry — counters for a sharded
 // campaign are the coordinator's to flush, exactly once.
 func NewShardRunner(factory EngineFactory, spec Spec) (*ShardRunner, error) {
@@ -281,163 +275,38 @@ func NewShardRunner(factory EngineFactory, spec Spec) (*ShardRunner, error) {
 	if spec.Pruning != PruneNone {
 		return nil, fmt.Errorf("campaign: ShardRunner executes full campaigns only (got Pruning: %s)", spec.Pruning)
 	}
-	workers := spec.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > spec.Runs {
-		workers = spec.Runs
-	}
-	engines := make([]sim.Engine, workers)
-	for i := range engines {
-		e, err := factory()
-		if err != nil {
-			return nil, fmt.Errorf("campaign: engine %d: %w", i, err)
-		}
-		engines[i] = e
-	}
-	golden := engines[0].Run(sim.Fault{}, sim.Options{MaxSteps: spec.MaxSteps, Reference: spec.Reference})
-	if golden.Status != sim.StatusOK {
-		return nil, fmt.Errorf("campaign: golden run failed: %v (%v)", golden.Status, golden.Trap)
-	}
-	if golden.InjectableInstrs == 0 {
-		return nil, fmt.Errorf("campaign: program has no injectable instructions")
-	}
-	if err := checkPopulation(spec.Runs, golden.InjectableInstrs); err != nil {
+	spec.Metrics, spec.TraceSpan = nil, nil
+	c, err := prepare(factory, spec, goldenPlain)
+	if err != nil {
 		return nil, err
 	}
-
-	r := &ShardRunner{
-		spec:      spec,
-		engines:   engines,
-		snaps:     make([]sim.SnapshotEngine, workers),
-		golden:    golden,
-		goldenOut: append([]byte(nil), golden.Output...),
-		setup:     golden.DynInstrs,
+	if err := c.grow(c.workers(spec.Runs)); err != nil {
+		return nil, err
 	}
-	r.maxSteps = spec.MaxSteps
-	if r.maxSteps <= 0 {
-		r.maxSteps = HangFactor*golden.DynInstrs + 100_000
-	}
-	if interval := snapshotInterval(spec, golden.InjectableInstrs); interval > 0 {
-		for i, eng := range engines {
-			se, ok := eng.(sim.SnapshotEngine)
-			if !ok {
-				continue
-			}
-			g := se.BuildSnapshots(interval, sim.Options{MaxSteps: spec.MaxSteps, Reference: spec.Reference})
-			r.setup += g.DynInstrs
-			if g.Status == sim.StatusOK {
-				r.snaps[i] = se
-			}
-		}
-	}
-	return r, nil
+	c.warmAll()
+	return &ShardRunner{c}, nil
 }
 
 // Golden returns the runner's golden-run result.
-func (r *ShardRunner) Golden() sim.Result { return r.golden }
+func (r *ShardRunner) Golden() sim.Result { return r.c.golden }
 
 // SetupInstrs returns the one-time instruction cost (golden run plus
 // snapshot-building runs) the caller should attribute to exactly one of
 // the runner's shard results.
-func (r *ShardRunner) SetupInstrs() int64 { return r.setup }
+func (r *ShardRunner) SetupInstrs() int64 { return r.c.setupInstrs() }
 
 // Close releases snapshot storage.
-func (r *ShardRunner) Close() {
-	for i, se := range r.snaps {
-		if se != nil {
-			se.DropSnapshots()
-			r.snaps[i] = nil
-		}
-	}
-}
+func (r *ShardRunner) Close() { r.c.close() }
 
 // RunRange executes runs [rg.Lo, rg.Hi) and returns the shard's result
 // (SetupInstrs zero; the caller attributes setup once via SetupInstrs).
-// Faults, batching, and classification reproduce Run exactly: fault i
-// is faultForRun(seed, i, injectable), batches are dealt round-robin
-// across the engine pool and sorted by injection point, and outcomes
-// land in per-run slots so the tallies are independent of scheduling.
+// Faults, batching, and classification are Run's own (core.runRange),
+// so the tallies are independent of how the campaign is sharded.
 func (r *ShardRunner) RunRange(rg ShardRange) (ShardResult, error) {
-	if rg.Lo < 0 || rg.Hi > r.spec.Runs || rg.Lo >= rg.Hi {
-		return ShardResult{}, fmt.Errorf("campaign: shard range [%d,%d) outside campaign [0,%d)", rg.Lo, rg.Hi, r.spec.Runs)
+	if rg.Lo < 0 || rg.Hi > r.c.spec.Runs || rg.Lo >= rg.Hi {
+		return ShardResult{}, fmt.Errorf("campaign: shard range [%d,%d) outside campaign [0,%d)", rg.Lo, rg.Hi, r.c.spec.Runs)
 	}
-	n := rg.Runs()
-	faults := make([]sim.Fault, n)
-	for i := range faults {
-		faults[i] = faultForRun(r.spec.Seed, int64(rg.Lo+i), r.golden.InjectableInstrs)
-	}
-	workers := len(r.engines)
-	if workers > n {
-		workers = n
-	}
-	batches := make([][]job, workers)
-	for i := range faults {
-		w := i % workers
-		batches[w] = append(batches[w], job{i, faults[i]})
-	}
-	for _, b := range batches {
-		b := b
-		sort.Slice(b, func(i, j int) bool {
-			if b[i].fault.TargetIndex != b[j].fault.TargetIndex {
-				return b[i].fault.TargetIndex < b[j].fault.TargetIndex
-			}
-			return b[i].run < b[j].run
-		})
-	}
-
-	outcomes := make([]runOutcome, n)
-	simulated := make([]int64, workers)
-	saved := make([]int64, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		w := w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			eng, se := r.engines[w], r.snaps[w]
-			opts := sim.Options{MaxSteps: r.maxSteps, Reference: r.spec.Reference}
-			for _, j := range batches[w] {
-				var res sim.Result
-				var skipped int64
-				if se != nil {
-					res, skipped = se.RunFrom(j.fault, opts)
-				} else {
-					res = eng.Run(j.fault, opts)
-				}
-				simulated[w] += res.DynInstrs - skipped
-				saved[w] += skipped
-				outcomes[j.run] = runOutcome{classify(res, r.goldenOut), res.InjectedOrigin}
-			}
-		}()
-	}
-	wg.Wait()
-
-	out := ShardResult{
-		Range:            rg,
-		GoldenDyn:        r.golden.DynInstrs,
-		GoldenInjectable: r.golden.InjectableInstrs,
-		Records:          make([]Record, n),
-	}
-	for i := range outcomes {
-		out.Counts[outcomes[i].outcome]++
-		if outcomes[i].outcome == OutcomeSDC {
-			out.SDCByOrigin[outcomes[i].origin]++
-		}
-		out.Records[i] = Record{
-			Run:     rg.Lo + i,
-			Outcome: outcomes[i].outcome,
-			Origin:  outcomes[i].origin,
-			Target:  faults[i].TargetIndex,
-			Bit:     uint8(faults[i].Bit),
-		}
-	}
-	for w := 0; w < workers; w++ {
-		out.SimulatedInstrs += simulated[w]
-		out.SavedInstrs += saved[w]
-	}
-	return out, nil
+	return r.c.runRange(rg)
 }
 
 // InProcess returns the default ShardExecutor: one ShardRunner in this

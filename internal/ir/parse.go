@@ -15,11 +15,19 @@ import (
 //	global @<name> <size> [= <hexbytes>]
 //	func @<name>(<type> %<param>, ...) <type> {
 //	<label>:
-//	  [%<n> =] <op> ...
+//	  [%<n> =] <op> ... [; <prot>[,<prot>...]]
 //	}
 //
 // Operands are %<n> (instruction results), %<name> (parameters),
-// @<name> (globals), or <type> <literal> (constants).
+// @<name> (globals), or <type> <literal> (constants). An instruction's
+// trailing comment is its protection annotation when it lists only the
+// flags dup, checker and flowery (ProtMeta.IsDup, IsChecker,
+// IsFlowery), exactly as Instr.String prints them; any other comment is
+// ignored. A duplicate's flag may name its primary copy, dup=%<n>: the
+// parser then restores the Orig/Dup link and makes the duplicate share
+// the primary's constant operands, as the duplication pass built them.
+// Constant identity matters downstream: the backend's register cache
+// reuses a register for the same constant within a block.
 func Parse(src string) (*Module, error) {
 	p := &parser{lines: strings.Split(src, "\n")}
 	m, err := p.parseModule()
@@ -43,13 +51,22 @@ type parser struct {
 	pos   int
 }
 
+// stripComment drops a line's comment and surrounding space.
+func stripComment(ln string) string {
+	if i := strings.IndexByte(ln, ';'); i >= 0 {
+		ln = ln[:i]
+	}
+	return strings.TrimSpace(ln)
+}
+
+// isLabel reports whether a stripped line is a block label.
+func isLabel(ln string) bool {
+	return strings.HasSuffix(ln, ":") && !strings.ContainsAny(ln, " \t=")
+}
+
 func (p *parser) next() (string, bool) {
 	for p.pos < len(p.lines) {
-		ln := p.lines[p.pos]
-		if i := strings.IndexByte(ln, ';'); i >= 0 {
-			ln = ln[:i]
-		}
-		ln = strings.TrimSpace(ln)
+		ln := stripComment(p.lines[p.pos])
 		if ln == "" {
 			p.pos++
 			continue
@@ -60,6 +77,37 @@ func (p *parser) next() (string, bool) {
 }
 
 func (p *parser) advance() { p.pos++ }
+
+// parseProt reads the protection annotation from an instruction line's
+// trailing comment, with the result id of the primary copy a duplicate
+// names (-1 if none); a comment that is not an annotation yields none.
+func parseProt(line string) (ProtMeta, int) {
+	i := strings.IndexByte(line, ';')
+	if i < 0 {
+		return ProtMeta{}, -1
+	}
+	var pm ProtMeta
+	orig := -1
+	for _, flag := range strings.Split(strings.TrimSpace(line[i+1:]), ",") {
+		switch {
+		case flag == "dup":
+			pm.IsDup = true
+		case strings.HasPrefix(flag, "dup=%"):
+			n, err := strconv.Atoi(flag[len("dup=%"):])
+			if err != nil || n < 0 {
+				return ProtMeta{}, -1
+			}
+			pm.IsDup, orig = true, n
+		case flag == "checker":
+			pm.IsChecker = true
+		case flag == "flowery":
+			pm.IsFlowery = true
+		default:
+			return ProtMeta{}, -1
+		}
+	}
+	return pm, orig
+}
 
 func (p *parser) parseModule() (*Module, error) {
 	ln, ok := p.next()
@@ -215,8 +263,22 @@ func (p *parser) parseFunc(m *Module, header string) error {
 		params[pr.Name] = pr
 	}
 
+	// Create blocks in label order before any branch can name one, so
+	// the block layout (and with it instruction numbering and the
+	// lowered code order) survives the round trip.
+	for i := p.pos; i < len(p.lines); i++ {
+		ln := stripComment(p.lines[i])
+		if ln == "}" {
+			break
+		}
+		if isLabel(ln) {
+			getBlock(strings.TrimSuffix(ln, ":"))
+		}
+	}
+
 	byID := make(map[int]*Instr)
 	var pending []pendingRef
+	var dups []dupRef
 	var cur *Block
 
 	for {
@@ -228,7 +290,7 @@ func (p *parser) parseFunc(m *Module, header string) error {
 			p.advance()
 			break
 		}
-		if strings.HasSuffix(ln, ":") && !strings.ContainsAny(ln, " \t=") {
+		if isLabel(ln) {
 			cur = getBlock(strings.TrimSuffix(ln, ":"))
 			p.advance()
 			continue
@@ -239,6 +301,11 @@ func (p *parser) parseFunc(m *Module, header string) error {
 		in, id, refs, err := parseInstr(m, f, params, getBlock, ln)
 		if err != nil {
 			return fmt.Errorf("in @%s: %w", name, err)
+		}
+		var orig int
+		in.Prot, orig = parseProt(p.lines[p.pos])
+		if orig >= 0 {
+			dups = append(dups, dupRef{in, orig})
 		}
 		cur.Append(in)
 		if id >= 0 {
@@ -258,8 +325,31 @@ func (p *parser) parseFunc(m *Module, header string) error {
 		}
 		r.in.Args[r.arg] = def
 	}
+	for _, d := range dups {
+		orig, ok := byID[d.orig]
+		if !ok {
+			return fmt.Errorf("@%s: duplicate of undefined %%%d", name, d.orig)
+		}
+		d.in.Prot.Orig = orig
+		orig.Prot.Dup = d.in
+		for i, a := range d.in.Args {
+			c, ok := a.(*Const)
+			if !ok || i >= len(orig.Args) {
+				continue
+			}
+			if oc, ok := orig.Args[i].(*Const); ok && *oc == *c {
+				d.in.Args[i] = oc
+			}
+		}
+	}
 	f.Renumber()
 	return nil
+}
+
+// dupRef is a parsed duplicate awaiting the link to its primary copy.
+type dupRef struct {
+	in   *Instr
+	orig int
 }
 
 // parseInstr parses one instruction line. Operand slots referencing %N

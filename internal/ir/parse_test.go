@@ -5,27 +5,6 @@ import (
 	"testing"
 )
 
-func TestPrintParseRoundTrip(t *testing.T) {
-	m := wellFormed()
-	m.NewGlobalI64("data", []int64{1, -2, 3})
-	m.NewGlobalData("raw", []byte{0xde, 0xad})
-	if err := m.Verify(); err != nil {
-		t.Fatal(err)
-	}
-	text1 := m.String()
-	m2, err := Parse(text1)
-	if err != nil {
-		t.Fatalf("parse: %v\n%s", err, text1)
-	}
-	if err := m2.Verify(); err != nil {
-		t.Fatalf("reparsed module invalid: %v", err)
-	}
-	text2 := m2.String()
-	if text1 != text2 {
-		t.Fatalf("round trip not stable:\n--- first ---\n%s\n--- second ---\n%s", text1, text2)
-	}
-}
-
 func TestParseAllConstructs(t *testing.T) {
 	src := `
 module everything

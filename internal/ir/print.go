@@ -106,11 +106,18 @@ func (in *Instr) String() string {
 			fmt.Fprintf(&sb, "%s ???", in.Op)
 		}
 	}
-	// Protection annotations are comments so the format stays parseable;
-	// the parser re-derives nothing from them.
+	// Protection flags print as a trailing annotation comment, which
+	// Parse reads back (see its grammar), so passes like the backend's
+	// checker lowering behave the same on a reparsed module.
 	var notes []string
 	if in.Prot.IsDup {
-		notes = append(notes, "dup")
+		// A duplicate names its primary copy, so the parser can restore
+		// the Orig/Dup link and the constant operands the two share.
+		if o := in.Prot.Orig; o != nil && o.ID >= 0 && o.Parent != nil && in.Parent != nil && o.Parent.Func == in.Parent.Func {
+			notes = append(notes, "dup="+o.OperandString())
+		} else {
+			notes = append(notes, "dup")
+		}
 	}
 	if in.Prot.IsChecker {
 		notes = append(notes, "checker")

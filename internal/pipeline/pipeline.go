@@ -632,25 +632,9 @@ func (p *Pipeline) Campaign(src Source, v Variant, opts CampaignOpts) (campaign.
 		if err != nil {
 			return nil, err
 		}
-		spec := campaign.Spec{
-			Runs:           runs,
-			Seed:           p.cfg.Seed,
-			MaxSteps:       p.cfg.MaxSteps,
-			Workers:        p.cfg.CampaignWorkers,
-			Snapshots:      opts.Snapshots,
-			Pruning:        opts.Pruning,
-			PilotsPerClass: opts.PilotsPerClass,
-			Reference:      p.cfg.Reference,
-			Metrics:        p.cfg.Telemetry,
-			TraceSpan:      sp,
-			Records:        opts.Records,
-		}
-		if opts.MaskStatic {
-			a, merr := p.Masks(src, v, opts.Layer, opts.Backend)
-			if merr != nil {
-				return nil, merr
-			}
-			spec.Masks = a.Masked
+		spec, err := p.campaignSpec(src, v, opts, runs, sp)
+		if err != nil {
+			return nil, err
 		}
 		var st campaign.Stats
 		if sharded {
@@ -746,24 +730,9 @@ func (p *Pipeline) CampaignSectioned(src Source, v Variant, opts CampaignOpts) (
 		if err != nil {
 			return nil, err
 		}
-		spec := campaign.Spec{
-			Runs:           runs,
-			Seed:           p.cfg.Seed,
-			MaxSteps:       p.cfg.MaxSteps,
-			Workers:        p.cfg.CampaignWorkers,
-			Snapshots:      opts.Snapshots,
-			Pruning:        opts.Pruning,
-			PilotsPerClass: opts.PilotsPerClass,
-			Reference:      p.cfg.Reference,
-			Metrics:        p.cfg.Telemetry,
-			TraceSpan:      sp,
-		}
-		if opts.MaskStatic {
-			a, merr := p.Masks(src, v, opts.Layer, opts.Backend)
-			if merr != nil {
-				return nil, merr
-			}
-			spec.Masks = a.Masked
+		spec, err := p.campaignSpec(src, v, opts, runs, sp)
+		if err != nil {
+			return nil, err
 		}
 		res, err := campaign.RunSectioned(factory, spec, campaign.SectionedOpts{
 			Table:   table,
@@ -798,25 +767,48 @@ func (p *Pipeline) MaskedProbe(src Source, v Variant, opts CampaignOpts, samples
 	if err != nil {
 		return campaign.ProbeStats{}, err
 	}
-	a, err := p.Masks(src, v, opts.Layer, opts.Backend)
+	// The probe samples the pruned+masked campaign's proven-masked
+	// population: always pruned and masked, from scratch, unrecorded.
+	probe := CampaignOpts{
+		Layer:          opts.Layer,
+		Backend:        opts.Backend,
+		Pruning:        campaign.PruneClasses,
+		PilotsPerClass: max(opts.PilotsPerClass, 1),
+		MaskStatic:     true,
+	}
+	spec, err := p.campaignSpec(src, v, probe, runs, nil)
 	if err != nil {
 		return campaign.ProbeStats{}, err
 	}
+	return campaign.MaskedProbe(factory, spec, samples)
+}
+
+// campaignSpec is the one place a pipeline campaign's Spec is built:
+// the pipeline's seed, step bound, parallelism, core and telemetry,
+// the request's snapshot, pruning and record options, and — under
+// MaskStatic — the layer's static masks (the Masks node).
+func (p *Pipeline) campaignSpec(src Source, v Variant, opts CampaignOpts, runs int, sp *telemetry.Span) (campaign.Spec, error) {
 	spec := campaign.Spec{
 		Runs:           runs,
 		Seed:           p.cfg.Seed,
 		MaxSteps:       p.cfg.MaxSteps,
 		Workers:        p.cfg.CampaignWorkers,
-		Pruning:        campaign.PruneClasses,
+		Snapshots:      opts.Snapshots,
+		Pruning:        opts.Pruning,
 		PilotsPerClass: opts.PilotsPerClass,
 		Reference:      p.cfg.Reference,
 		Metrics:        p.cfg.Telemetry,
-		Masks:          a.Masked,
+		TraceSpan:      sp,
+		Records:        opts.Records,
 	}
-	if spec.PilotsPerClass < 1 {
-		spec.PilotsPerClass = 1
+	if opts.MaskStatic {
+		a, err := p.Masks(src, v, opts.Layer, opts.Backend)
+		if err != nil {
+			return campaign.Spec{}, err
+		}
+		spec.Masks = a.Masked
 	}
-	return campaign.MaskedProbe(factory, spec, samples)
+	return spec, nil
 }
 
 // storeGet recalls a campaign artifact from the persistent store.

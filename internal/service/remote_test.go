@@ -125,6 +125,38 @@ func TestRemoteWorkersJobViaHub(t *testing.T) {
 	}
 }
 
+// TestRemoteWorkersConsecutiveHubJobs: the workers of a finished
+// hub-sharded job re-dial and re-park, and the next job must be able to
+// claim them. A coordinator that keeps claiming after its campaign
+// completes would refuse the re-parked workers with "job complete" —
+// which ends a connect-mode worker that has served — and starve every
+// later job.
+func TestRemoteWorkersConsecutiveHubJobs(t *testing.T) {
+	reg := telemetry.New()
+	hub := startHub(t, 2, reg)
+	_, c := newTestServer(t, Config{Artifacts: store.NewMemory(reg), Telemetry: reg, Hub: hub})
+	for _, seed := range []int64{7, 8} {
+		spec := testSpec()
+		spec.Seed = seed // distinct jobs: neither is served from the store
+		spec.Shards = 4
+		spec.RemoteWorkers = true
+		r, err := c.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ji := waitDone(t, c, r.ID); ji.Stats == nil {
+			t.Fatalf("job %s (seed %d) done without stats", r.ID, seed)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for hub.Workers() < 2 {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of 2 workers parked after two jobs", hub.Workers())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 // TestRemoteWorkersRejectedWithoutHub: a remote_workers submission to a
 // daemon started without -shard-listen must fail at submit time with a
 // line naming the missing flag, not queue and then die.

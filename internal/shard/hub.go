@@ -163,32 +163,52 @@ func (h *Hub) register(conn net.Conn) {
 		refuse(fmt.Sprintf("worker speaks protocol %d, hub %d — version skew", hl.Proto, ProtoVersion))
 		return
 	}
-	pw := &parkedWorker{name: hl.Name, conn: conn, handoff: make(chan struct{})}
+	if msg := h.add(hl.Name, conn); msg != "" {
+		refuse(msg)
+		return
+	}
+	h.reg.Counter("shard_remote_connects_total").Inc()
+}
+
+// repark returns a claimed worker the claiming campaign did not use to
+// the pool, exactly as if it had just registered (its hello stays
+// validated). It hangs up when the hub is closing or the name has
+// re-registered meanwhile.
+func (h *Hub) repark(w claimedWorker) {
+	if h.add(w.name, w.conn) != "" {
+		w.conn.Close()
+	}
+}
+
+// add parks a validated worker and starts its parker, or returns the
+// reason it cannot.
+func (h *Hub) add(name string, conn net.Conn) string {
+	pw := &parkedWorker{name: name, conn: conn, handoff: make(chan struct{})}
 	h.mu.Lock()
 	if h.closed {
 		h.mu.Unlock()
-		refuse("hub shutting down")
-		return
+		return "hub shutting down"
 	}
-	if h.parked[hl.Name] != nil {
+	if h.parked[name] != nil {
 		h.mu.Unlock()
-		refuse("duplicate worker name " + hl.Name)
-		return
+		return "duplicate worker name " + name
 	}
-	h.parked[hl.Name] = pw
+	h.parked[name] = pw
 	n := len(h.parked)
+	// Count the parker in before Close can observe the hub open and
+	// wait: repark runs outside the accept loop's own wg slot.
+	h.wg.Add(1)
 	h.mu.Unlock()
-	h.reg.Counter("shard_remote_connects_total").Inc()
 	h.reg.Gauge("shard_hub_workers").Set(float64(n))
 	select {
 	case h.arrived <- struct{}{}:
 	default:
 	}
-	h.wg.Add(1)
 	go func() {
 		defer h.wg.Done()
 		h.park(pw)
 	}()
+	return ""
 }
 
 // errClaimed aborts a parker read between frames when the worker has

@@ -339,6 +339,16 @@ func (r *remoteRun) done() bool {
 	}
 }
 
+// complete reports whether every range has a result.
+func (r *remoteRun) complete() bool {
+	select {
+	case <-r.d.allDone:
+		return true
+	default:
+		return false
+	}
+}
+
 func (r *remoteRun) recordErr(who string, err error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -496,13 +506,20 @@ func (r *remoteRun) acceptWorkers(ln net.Listener, connWG *sync.WaitGroup) {
 }
 
 // claimWorkers pulls registered workers from the hub as they become
-// available until the campaign completes.
+// available until the campaign completes. It stops claiming as soon as
+// the last range is done: workers quit by this campaign re-park on the
+// hub for the next one, and must not be claimed (and refused) again.
 func (r *remoteRun) claimWorkers(hub *Hub, connWG *sync.WaitGroup) {
 	for {
+		if r.done() || r.complete() {
+			return
+		}
 		w, ok := hub.take()
 		if !ok {
 			select {
 			case <-r.stop:
+				return
+			case <-r.d.allDone:
 				return
 			case <-hub.arrived:
 				continue
@@ -534,7 +551,12 @@ func (r *remoteRun) claimWorkers(hub *Hub, connWG *sync.WaitGroup) {
 // reads and re-deal on death. Returns the worker's registered name (""
 // if the connection died before hello) and nil on clean completion.
 func (r *remoteRun) serveConn(conn net.Conn, src, helloName string) (string, error) {
-	defer conn.Close()
+	parked := false
+	defer func() {
+		if !parked {
+			conn.Close()
+		}
+	}()
 	tc := &timedConn{
 		conn:  conn,
 		slice: r.opts.Heartbeat,
@@ -577,6 +599,14 @@ func (r *remoteRun) serveConn(conn net.Conn, src, helloName string) (string, err
 	}
 	defer r.dropName(name)
 
+	if helloName != "" && (r.done() || r.complete()) {
+		// Claimed from the hub as the campaign finished: re-park it for
+		// the next job. Refusing it would end a connect-mode worker that
+		// has already served.
+		r.opts.Hub.repark(claimedWorker{name: name, conn: conn})
+		parked = true
+		return name, nil
+	}
 	if r.done() {
 		// Worker connected after the campaign finished: one line, no
 		// campaign state touched.

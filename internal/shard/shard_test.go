@@ -8,6 +8,7 @@ import (
 	"flowery/internal/backend"
 	"flowery/internal/bench"
 	"flowery/internal/campaign"
+	"flowery/internal/dup"
 	"flowery/internal/interp"
 	"flowery/internal/ir"
 	"flowery/internal/machine"
@@ -66,27 +67,38 @@ func sameOutcomes(t *testing.T, tag string, a, b campaign.Stats) {
 // TestPoolMatchesRunAsm is the core bit-identity gate: a campaign
 // farmed to worker processes over the wire must reproduce single-process
 // campaign.Run exactly, at the asm layer (module text → re-lower on the
-// worker side) across several process/shard shapes.
+// worker side) across several process/shard shapes. The protected input
+// carries dup/checker flags the workers must read back from the text:
+// the backend lowers checker compares differently, and SDC origins come
+// from those flags.
 func TestPoolMatchesRunAsm(t *testing.T) {
-	pristine := testModule(t, "crc32")
-	spec := campaign.Spec{Runs: 160, Seed: 42, Workers: 1}
-	single, err := campaign.Run(asmFactory(t, pristine, 0), spec)
-	if err != nil {
+	protected := testModule(t, "crc32")
+	if err := dup.ApplyFull(protected); err != nil {
 		t.Fatal(err)
 	}
-	for _, shape := range []struct{ procs, shards int }{{1, 1}, {1, 4}, {2, 4}, {3, 8}} {
-		pool := poolFor(t, pristine, LayerAsm, 0, shape.procs, nil)
-		st, err := campaign.RunSharded(nil, spec, campaign.ShardOpts{Shards: shape.shards, Exec: pool})
+	for _, in := range []struct {
+		name     string
+		pristine *ir.Module
+	}{{"crc32", testModule(t, "crc32")}, {"crc32+dup", protected}} {
+		spec := campaign.Spec{Runs: 160, Seed: 42, Workers: 1}
+		single, err := campaign.Run(asmFactory(t, in.pristine, 0), spec)
 		if err != nil {
-			t.Fatalf("procs=%d shards=%d: %v", shape.procs, shape.shards, err)
+			t.Fatal(err)
 		}
-		sameOutcomes(t, "asm pool", single, st)
-		ps := pool.Stats()
-		if got := len(ps.Workers); got != min(shape.procs, shape.shards) {
-			t.Fatalf("procs=%d shards=%d: %d workers spawned", shape.procs, shape.shards, got)
-		}
-		if ps.CriticalPathCPU() <= 0 {
-			t.Fatalf("procs=%d: no CPU accounting", shape.procs)
+		for _, shape := range []struct{ procs, shards int }{{1, 1}, {1, 4}, {2, 4}, {3, 8}} {
+			pool := poolFor(t, in.pristine, LayerAsm, 0, shape.procs, nil)
+			st, err := campaign.RunSharded(nil, spec, campaign.ShardOpts{Shards: shape.shards, Exec: pool})
+			if err != nil {
+				t.Fatalf("%s procs=%d shards=%d: %v", in.name, shape.procs, shape.shards, err)
+			}
+			sameOutcomes(t, in.name+" asm pool", single, st)
+			ps := pool.Stats()
+			if got := len(ps.Workers); got != min(shape.procs, shape.shards) {
+				t.Fatalf("%s procs=%d shards=%d: %d workers spawned", in.name, shape.procs, shape.shards, got)
+			}
+			if ps.CriticalPathCPU() <= 0 {
+				t.Fatalf("%s procs=%d: no CPU accounting", in.name, shape.procs)
+			}
 		}
 	}
 }

@@ -12,6 +12,16 @@ go vet ./...
 go build ./...
 go test -race ./...
 
+# Campaign outcome pin (DESIGN.md §8): every campaign entry point's
+# outcome fields on protected crc32 must match testdata byte for byte.
+# The pin skips under -race (too slow there), so it runs plainly here.
+go test ./internal/campaign -run TestCampaignOutcomesGolden -count=1
+
+# The benchmark is a Go module of its own, so `go test ./...` above
+# skips it; build, vet and test it here so an API break in internal/
+# shows up before the benchmark runs.
+(cd flowbench && go vet ./... && go test ./...)
+
 # Pipeline-equivalence smoke: the same artifact rendered through the
 # memoized pipeline and through the legacy serial path must be
 # bit-identical (DESIGN.md §9's determinism guarantee, end to end).
