@@ -204,8 +204,10 @@ type Stats struct {
 	//
 	// SimulatedInstrs counts dynamic instructions actually executed
 	// across the campaign, including golden and snapshot-building runs.
-	// SavedInstrs counts instructions fast-forwarded over via checkpoint
-	// restore; scratch execution of the same campaign would have cost
+	// SavedInstrs counts instructions the faulty runs did not execute:
+	// prefixes fast-forwarded over via checkpoint restore, and golden
+	// tails cut off when a run reconverged with the golden run. Scratch
+	// execution of the same campaign would have cost
 	// SimulatedInstrs+SavedInstrs.
 	SimulatedInstrs int64
 	SavedInstrs     int64
@@ -250,7 +252,8 @@ type Stats struct {
 }
 
 // SavedFrac is the fraction of the campaign's total instruction work
-// skipped by checkpoint restore (0 when snapshots were off or useless).
+// skipped by checkpoint restore or golden convergence (0 when snapshots
+// were off or useless).
 func (s Stats) SavedFrac() float64 {
 	total := s.SimulatedInstrs + s.SavedInstrs
 	if total == 0 {

@@ -273,7 +273,7 @@ func (c *core) execute(faults []sim.Fault) (outcomes []runOutcome, simulated, sa
 				}
 				sims[w] += res.DynInstrs - skipped
 				saves[w] += skipped
-				if skipped > 0 {
+				if skipped > 0 { // a restore, or a converged from-scratch run
 					restores++
 				}
 				o := classify(res, c.goldenOut)

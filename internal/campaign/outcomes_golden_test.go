@@ -20,6 +20,7 @@ import (
 	"flowery/internal/reclog"
 	"flowery/internal/section"
 	"flowery/internal/sim"
+	"flowery/internal/telemetry"
 )
 
 var updateOutcomes = flag.Bool("update", false, "rewrite testdata/outcomes.golden")
@@ -85,9 +86,9 @@ func writeOutcomes(w *bytes.Buffer, tag string, s Stats) {
 	}
 }
 
-// recordDigest is the sha256 of the records' reclog encoding: the bytes
-// `flowery inject -reclog` and the shard transport would carry.
-func recordDigest(t *testing.T, recs []Record) string {
+// reclogBytes is the records' reclog encoding: the bytes `flowery
+// inject -reclog` and the shard transport would carry.
+func reclogBytes(t *testing.T, recs []Record) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	w := reclog.NewWriter(&buf)
@@ -99,7 +100,13 @@ func recordDigest(t *testing.T, recs []Record) string {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return fmt.Sprintf("%x", sha256.Sum256(buf.Bytes()))
+	return buf.Bytes()
+}
+
+// recordDigest is the sha256 of the records' reclog encoding.
+func recordDigest(t *testing.T, recs []Record) string {
+	t.Helper()
+	return fmt.Sprintf("%x", sha256.Sum256(reclogBytes(t, recs)))
 }
 
 // TestCampaignOutcomesGolden pins the outcome fields of every campaign
@@ -209,5 +216,47 @@ func TestCampaignOutcomesGolden(t *testing.T) {
 	}
 	if !bytes.Equal(out.Bytes(), want) {
 		t.Errorf("campaign outcomes drifted from %s:\n got:\n%s\nwant:\n%s", path, out.Bytes(), want)
+	}
+}
+
+// TestSnapshotsOnOffReclog requires a full campaign on raw susan — where
+// most runs are benign, so most fast-forwarded runs stop early on
+// reconverging with the golden run — to write the same reclog bytes
+// with snapshots auto-tuned and off, at both layers. It also requires
+// the early exit to have fired. Like the outcome pin it skips under
+// -short and -race; scripts/ci.sh runs it in a plain build.
+func TestSnapshotsOnOffReclog(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("runs two full campaigns per layer")
+	}
+	layers := []struct {
+		name    string
+		factory EngineFactory
+	}{
+		{"ir", interpFactory(t, "susan")},
+		{"asm", machineFactory(t, "susan", false)},
+	}
+	for _, l := range layers {
+		var logs [2][]byte
+		var stats [2]Stats
+		reg := telemetry.New()
+		for i, snap := range []int{0, SnapshotsOff} {
+			var recs []Record
+			spec := Spec{Runs: 1000, Seed: 3, Workers: 2, Snapshots: snap, Metrics: reg}
+			spec.Records = func(r Record) { recs = append(recs, r) }
+			st, err := Run(l.factory, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			logs[i], stats[i] = reclogBytes(t, recs), st
+		}
+		if !bytes.Equal(logs[0], logs[1]) || !outcomeEqual(stats[0], stats[1]) {
+			t.Fatalf("%s: snapshots on and off disagree:\n on  %v\n off %v", l.name, stats[0].Counts, stats[1].Counts)
+		}
+		conv := reg.Counter(`engine_converged_total{engine="` + l.name + `"}`).Value()
+		if conv == 0 {
+			t.Fatalf("%s: no run converged with the golden run", l.name)
+		}
+		t.Logf("%s: %d of %d runs converged, counts %v", l.name, conv, stats[0].Runs, stats[0].Counts)
 	}
 }

@@ -514,7 +514,10 @@ func (ip *Interp) fastStoreMem(addr, size int64, v uint64) {
 // runFast is run() with the instrumentation hooks removed (the loop
 // selection in finish guarantees they are off) and the per-instruction
 // dispatch replaced by the compiled closures. Counters, injection
-// points, trap points, and frame handling are identical.
+// points, trap points, and frame handling are identical. It also stops
+// a faulty run that reconverges with the golden run: the one
+// per-instruction bound, stepLimit, folds the timeout and the next
+// golden checkpoint into a single compare whose cold side is stepEvent.
 func (ip *Interp) runFast() uint64 {
 	var retVal uint64
 	returning := false
@@ -552,8 +555,8 @@ dispatch:
 		for i < n {
 			ci := &blk.instrs[i]
 			ip.steps++
-			if ip.steps > ip.maxSteps {
-				ip.trap(TrapTimeout)
+			if ip.steps > ip.stepLimit && ip.stepEvent(bi, i) {
+				return 0 // finish reports the golden return value
 			}
 
 			if fn := ci.fn; fn != nil {

@@ -20,8 +20,9 @@ type Interp struct {
 	main    *cfunc
 	gInstrs []*ir.Instr
 
-	mem     []byte
-	dataEnd int64
+	mem      []byte
+	dataEnd  int64
+	dataInit []byte // initial data-segment image (ir.Module.DataImage)
 
 	// Run state.
 	out       []byte
@@ -56,7 +57,16 @@ type Interp struct {
 	dataLo       int64
 	dataHi       int64
 	snaps        []snapshot
-	goldenOut    []byte
+	golden       Result
+
+	// Golden convergence (see snapshot.go). stepLimit is the fast core's
+	// one per-instruction bound: min(maxSteps, steps of checkpoint
+	// convAt, the next one a faulty run is compared against). convTail
+	// counts the golden instructions a converged run did not execute (0
+	// otherwise).
+	stepLimit int64
+	convAt    int
+	convTail  int64
 
 	// Run-boundary telemetry (see telemetry.EngineMetrics). met is the
 	// cached handle bundle for metReg; flushed once per run in finish.
@@ -100,6 +110,7 @@ func New(m *ir.Module) *Interp {
 		gInstrs:  gInstrs,
 		mem:      make([]byte, ir.MemSize),
 		dataEnd:  end,
+		dataInit: m.DataImage(),
 		minTouch: ir.StackTop,
 	}
 	return ip
@@ -143,6 +154,7 @@ func (ip *Interp) finish(fresh bool) Result {
 		t0 = time.Now()
 	}
 	startSteps := ip.steps
+	ip.convTail = 0
 	usedFast := false
 	res := Result{Status: StatusOK}
 	func() {
@@ -168,20 +180,29 @@ func (ip *Interp) finish(fresh bool) Result {
 			ip.retVal = ip.run()
 		} else {
 			usedFast = true
+			ip.armConvergence()
 			ip.retVal = ip.runFast()
 		}
 	}()
 
-	res.Output = append([]byte(nil), ip.out...)
-	res.RetVal = int64(ip.retVal)
-	res.DynInstrs = ip.steps
-	res.InjectableInstrs = ip.inject
+	if ip.convTail > 0 {
+		// The rest of the run would have replayed the golden run.
+		res.Output = append([]byte(nil), ip.golden.Output...)
+		res.RetVal = ip.golden.RetVal
+		res.DynInstrs = ip.golden.DynInstrs
+		res.InjectableInstrs = ip.golden.InjectableInstrs
+	} else {
+		res.Output = append([]byte(nil), ip.out...)
+		res.RetVal = int64(ip.retVal)
+		res.DynInstrs = ip.steps
+		res.InjectableInstrs = ip.inject
+	}
 	res.Injected = ip.injected
 	res.InjectedStatic = ip.injStatic
 	if ip.met != nil {
 		// The interpreter's fast core has no per-instruction fallback
 		// (closures cover every op), so slowSteps is always 0 here.
-		ip.met.FlushRun(usedFast, ip.steps-startSteps, 0, time.Since(t0))
+		ip.met.FlushRun(usedFast, ip.steps-startSteps, 0, ip.convTail > 0, time.Since(t0))
 	}
 	return res
 }
@@ -189,11 +210,8 @@ func (ip *Interp) finish(fresh bool) Result {
 // reset restores memory to its initial image, touching only regions the
 // previous run could have dirtied.
 func (ip *Interp) reset() {
-	// Data segment: zero then replay initializers.
-	zero(ip.mem[ir.GlobalBase:ip.dataEnd])
-	for _, g := range ip.mod.Globals {
-		copy(ip.mem[g.Addr:g.Addr+g.Size], g.Init)
-	}
+	// Data segment: the initial image.
+	copy(ip.mem[ir.GlobalBase:ip.dataEnd], ip.dataInit)
 	// Stack: zero from the lowest touched address.
 	if ip.minTouch < ir.StackTop {
 		zero(ip.mem[ip.minTouch:ir.StackTop])

@@ -1,6 +1,10 @@
 package interp
 
 import (
+	"bytes"
+	"slices"
+	"sort"
+
 	"flowery/internal/ir"
 	"flowery/internal/sim"
 )
@@ -62,27 +66,30 @@ func (ip *Interp) BuildSnapshots(interval int64, opts Options) Result {
 		ip.DropSnapshots()
 		return res
 	}
-	ip.goldenOut = append([]byte(nil), res.Output...)
+	ip.golden = res
+	ip.golden.Output = append([]byte(nil), res.Output...)
 	return res
 }
 
 // DropSnapshots releases all checkpoint storage.
 func (ip *Interp) DropSnapshots() {
 	ip.snaps = nil
-	ip.goldenOut = nil
+	ip.golden = Result{}
 }
 
 // RunFrom is Run accelerated by checkpoint restore: it fast-forwards to
 // the densest snapshot below the fault's injection point and executes
 // from there. The returned result is bit-identical to Run's; skipped
-// reports how many dynamic instructions the restore avoided re-executing.
-// Runs that cannot use a snapshot (no snapshots built, target before the
-// first checkpoint, golden fault, or profiling requested) fall back to a
-// from-scratch Run.
+// reports how many dynamic instructions the run did not execute — the
+// restored prefix plus, for a run that converged with the golden run,
+// the golden tail after the meeting checkpoint. Runs that cannot use a
+// snapshot (no snapshots built, target before the first checkpoint,
+// golden fault, or profiling requested) fall back to a from-scratch Run.
 func (ip *Interp) RunFrom(fault Fault, opts Options) (res Result, skipped int64) {
 	s := ip.bestSnapshot(fault.TargetIndex)
 	if s == nil || opts.Profile {
-		return ip.Run(fault, opts), 0
+		res = ip.Run(fault, opts)
+		return res, ip.convTail
 	}
 	ip.restore(s)
 	ip.maxSteps = opts.MaxSteps
@@ -94,7 +101,8 @@ func (ip *Interp) RunFrom(fault Fault, opts Options) (res Result, skipped int64)
 	ip.profiling = false
 	ip.refCore = opts.Reference
 	ip.setMetrics(opts.Metrics)
-	return ip.finish(false), s.steps
+	res = ip.finish(false)
+	return res, s.steps + ip.convTail
 }
 
 // bestSnapshot returns the snapshot with the largest index strictly below
@@ -157,10 +165,7 @@ func (ip *Interp) captureSnapshot() {
 // bit for bit.
 func (ip *Interp) restore(s *snapshot) {
 	// Data segment: rebuild the initial image, overlay the dirty bytes.
-	zero(ip.mem[ir.GlobalBase:ip.dataEnd])
-	for _, g := range ip.mod.Globals {
-		copy(ip.mem[g.Addr:g.Addr+g.Size], g.Init)
-	}
+	copy(ip.mem[ir.GlobalBase:ip.dataEnd], ip.dataInit)
 	if s.dataLo < s.dataHi {
 		copy(ip.mem[s.dataLo:s.dataHi], s.data)
 	}
@@ -188,10 +193,104 @@ func (ip *Interp) restore(s *snapshot) {
 		})
 	}
 
-	ip.out = append(ip.out[:0], ip.goldenOut[:s.outLen]...)
+	ip.out = append(ip.out[:0], ip.golden.Output[:s.outLen]...)
 	ip.steps = s.steps
 	ip.inject = s.index
 	ip.injected = false
 	ip.injStatic = -1
 	ip.profile = nil
+}
+
+// Golden convergence. A faulty run whose complete state equals a golden
+// checkpoint's at the checkpoint's dynamic step executes the golden
+// run's suffix from there, instruction for instruction, so its Result
+// is the golden one apart from the Injected* fields. The fast core
+// therefore compares its state at each checkpoint past the injection
+// point and stops at the first match. The compare is total — frame
+// stack with every value and argument slot, injectable counter, stack
+// pointer, output, stack memory and data segment — never a digest. The
+// reference loop never converges: it stays the independent oracle the
+// fast core is diffed against.
+
+// armConvergence points stepLimit at the first checkpoint at or past the
+// injection point (before it the fault has not fired, and the state
+// trivially matches). Fault-free runs, runs without checkpoints, and
+// step budgets the golden run itself would exceed keep stepLimit at
+// maxSteps: a converged run reports the golden length, which must be a
+// length the scratch run could reach.
+func (ip *Interp) armConvergence() {
+	ip.convAt = len(ip.snaps)
+	if ip.injectAt > 0 && ip.golden.DynInstrs <= ip.maxSteps {
+		ip.convAt = sort.Search(len(ip.snaps), func(i int) bool { return ip.snaps[i].index >= ip.injectAt })
+	}
+	ip.setStepLimit()
+}
+
+// setStepLimit sets stepLimit to min(maxSteps, checkpoint convAt's steps).
+func (ip *Interp) setStepLimit() {
+	ip.stepLimit = ip.maxSteps
+	if ip.convAt < len(ip.snaps) && ip.snaps[ip.convAt].steps < ip.maxSteps {
+		ip.stepLimit = ip.snaps[ip.convAt].steps
+	}
+}
+
+// stepEvent is the fast core's cold path, taken when steps passes
+// stepLimit: either the run is out of budget (a timeout trap) or it is
+// about to execute the instruction at which checkpoint convAt was taken,
+// with the top frame at block bi, instruction i. It reports whether the
+// run converged; on a mismatch it arms the next checkpoint.
+func (ip *Interp) stepEvent(bi, i int32) bool {
+	if ip.steps > ip.maxSteps {
+		ip.trap(TrapTimeout)
+	}
+	s := &ip.snaps[ip.convAt]
+	top := &ip.frames[len(ip.frames)-1]
+	top.bi, top.ii = bi, i
+	if ip.sameState(s) {
+		ip.steps = s.steps // the counted instruction does not execute
+		ip.convTail = ip.golden.DynInstrs - s.steps
+		return true
+	}
+	ip.convAt++
+	ip.setStepLimit()
+	return false
+}
+
+// sameState reports whether the interpreter state at the current
+// instruction boundary (top frame position synced) equals checkpoint s.
+// Memory below either run's stack low-water mark is zero in both.
+func (ip *Interp) sameState(s *snapshot) bool {
+	if ip.inject != s.index || ip.spVal != s.spVal || len(ip.frames) != len(s.frames) ||
+		!bytes.Equal(ip.out, ip.golden.Output[:s.outLen]) {
+		return false
+	}
+	for k := range ip.frames {
+		f, g := &ip.frames[k], &s.frames[k]
+		if f.cf != g.cf || f.fp != g.fp || f.bi != g.bi || f.ii != g.ii ||
+			f.args != g.args || !slices.Equal(f.vals, g.vals) {
+			return false
+		}
+	}
+	lo := min(ip.minTouch, s.minTouch)
+	return allZero(ip.mem[lo:s.minTouch]) &&
+		bytes.Equal(ip.mem[s.minTouch:ir.StackTop], s.stack) &&
+		sameData(ip.mem[ir.GlobalBase:ip.dataEnd], ip.dataInit, s.dataLo-ir.GlobalBase, s.dataHi-ir.GlobalBase, s.data)
+}
+
+// sameData reports whether seg equals the initial image init overlaid
+// with dirty at [lo, hi) (no overlay when lo >= hi).
+func sameData(seg, init []byte, lo, hi int64, dirty []byte) bool {
+	if lo >= hi {
+		return bytes.Equal(seg, init)
+	}
+	return bytes.Equal(seg[:lo], init[:lo]) && bytes.Equal(seg[lo:hi], dirty) && bytes.Equal(seg[hi:], init[hi:])
+}
+
+func allZero(b []byte) bool {
+	for _, c := range b {
+		if c != 0 {
+			return false
+		}
+	}
+	return true
 }

@@ -82,13 +82,14 @@ func TestSnapshotDeepStack(t *testing.T) {
 	}
 	for i := range ip.snaps {
 		target := ip.snaps[i].index + 1
-		// A fault on a bit that the golden value never uses may still be
-		// benign; what matters here is that resuming from every single
-		// snapshot replays the prefix correctly, so inject nothing and
-		// expect the golden result exactly.
+		// Flip bit 0 of the first value defined after snapshot i: the
+		// run must restore exactly snapshot i and then match a scratch
+		// run, whether the flip propagates or the run reconverges with
+		// the golden run (convTail, the golden tail it did not execute,
+		// is the rest of skipped).
 		res, skipped := ip.RunFrom(Fault{TargetIndex: target, Bit: 0}, Options{})
-		if skipped != ip.snaps[i].steps {
-			t.Fatalf("snapshot %d: skipped %d, want %d", i, skipped, ip.snaps[i].steps)
+		if restored := skipped - ip.convTail; restored != ip.snaps[i].steps {
+			t.Fatalf("snapshot %d: restored %d steps, want %d", i, restored, ip.snaps[i].steps)
 		}
 		scratch := New(m).Run(Fault{TargetIndex: target, Bit: 0}, Options{})
 		sameResult(t, "deep", scratch, res)

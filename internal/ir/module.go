@@ -194,6 +194,19 @@ func (m *Module) AssignAddresses() int64 {
 	return addr
 }
 
+// DataImage returns the initial image of the data segment
+// [GlobalBase, AssignAddresses()): every global's initializer at its
+// address, zero elsewhere. Engines reset memory from it and compare
+// faulty runs against it.
+func (m *Module) DataImage() []byte {
+	img := make([]byte, m.AssignAddresses()-GlobalBase)
+	for _, g := range m.Globals {
+		off := g.Addr - GlobalBase
+		copy(img[off:off+g.Size], g.Init)
+	}
+	return img
+}
+
 // EnumerateInstrs returns every instruction of the module in canonical
 // static order (function declaration order, block order, instruction
 // order). The IR interpreter's profiling indices and the duplication

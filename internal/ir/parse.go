@@ -375,6 +375,15 @@ func parseInstr(m *Module, f *Function, params map[string]*Param, getBlock func(
 	}
 	opName := fields[0]
 	rest := fields[1:]
+	// tok reads token i of rest, "" past the end: every parse below then
+	// rejects a truncated line with an error instead of indexing out of
+	// range.
+	tok := func(i int) string {
+		if i < len(rest) {
+			return rest[i]
+		}
+		return ""
+	}
 
 	var refs []pendingRef
 	// operand parses one operand from tokens, consuming 1 or 2 tokens.
@@ -428,15 +437,15 @@ func parseInstr(m *Module, f *Function, params map[string]*Param, getBlock func(
 	in := &Instr{ID: -1}
 	switch opName {
 	case "alloca":
-		sz, err := strconv.ParseInt(rest[0], 10, 64)
+		sz, err := strconv.ParseInt(tok(0), 10, 64)
 		if err != nil {
 			return nil, 0, nil, fmt.Errorf("bad alloca size")
 		}
 		in.Op, in.Ty, in.Aux = OpAlloca, Ptr, sz
 	case "load":
-		ty, ok := TypeFromString(rest[0])
+		ty, ok := TypeFromString(tok(0))
 		if !ok {
-			return nil, 0, nil, fmt.Errorf("bad load type %q", rest[0])
+			return nil, 0, nil, fmt.Errorf("bad load type %q", tok(0))
 		}
 		v, _, err := operand(rest[1:], 0)
 		if err != nil {
@@ -454,9 +463,9 @@ func parseInstr(m *Module, f *Function, params map[string]*Param, getBlock func(
 		}
 		in.Op, in.Ty, in.Args = OpStore, Void, []Value{v0, v1}
 	case "icmp", "fcmp":
-		pred, ok := PredFromString(rest[0])
+		pred, ok := PredFromString(tok(0))
 		if !ok {
-			return nil, 0, nil, fmt.Errorf("bad predicate %q", rest[0])
+			return nil, 0, nil, fmt.Errorf("bad predicate %q", tok(0))
 		}
 		v0, nTok, err := operand(rest[1:], 0)
 		if err != nil {
@@ -480,7 +489,7 @@ func parseInstr(m *Module, f *Function, params map[string]*Param, getBlock func(
 		if err != nil {
 			return nil, 0, nil, err
 		}
-		sz, err := strconv.ParseInt(rest[nTok+nTok2], 10, 64)
+		sz, err := strconv.ParseInt(tok(nTok+nTok2), 10, 64)
 		if err != nil {
 			return nil, 0, nil, fmt.Errorf("bad gep element size")
 		}
@@ -500,12 +509,12 @@ func parseInstr(m *Module, f *Function, params map[string]*Param, getBlock func(
 		}
 		in.Op, in.Ty, in.Args = op, ty, []Value{v}
 	case "call":
-		ty, ok := TypeFromString(rest[0])
+		ty, ok := TypeFromString(tok(0))
 		if !ok {
-			return nil, 0, nil, fmt.Errorf("bad call type %q", rest[0])
+			return nil, 0, nil, fmt.Errorf("bad call type %q", tok(0))
 		}
-		if !strings.HasPrefix(rest[1], "@") {
-			return nil, 0, nil, fmt.Errorf("bad callee %q", rest[1])
+		if !strings.HasPrefix(tok(1), "@") {
+			return nil, 0, nil, fmt.Errorf("bad callee %q", tok(1))
 		}
 		callee := m.Func(rest[1][1:])
 		if callee == nil {
@@ -523,7 +532,7 @@ func parseInstr(m *Module, f *Function, params map[string]*Param, getBlock func(
 		}
 		in.Op, in.Ty, in.Callee, in.Args = OpCall, ty, callee, args
 	case "br":
-		if len(rest) != 2 || rest[0] != "label" {
+		if len(rest) != 2 || tok(0) != "label" {
 			return nil, 0, nil, fmt.Errorf("malformed br")
 		}
 		in.Op, in.Ty, in.Blocks = OpBr, Void, []*Block{getBlock(strings.TrimPrefix(rest[1], "%"))}
@@ -556,9 +565,9 @@ func parseInstr(m *Module, f *Function, params map[string]*Param, getBlock func(
 		if !ok || !op.IsBinOp() {
 			return nil, 0, nil, fmt.Errorf("unknown opcode %q", opName)
 		}
-		ty, ok := TypeFromString(rest[0])
+		ty, ok := TypeFromString(tok(0))
 		if !ok {
-			return nil, 0, nil, fmt.Errorf("bad %s type %q", opName, rest[0])
+			return nil, 0, nil, fmt.Errorf("bad %s type %q", opName, tok(0))
 		}
 		v0, nTok, err := operand(rest[1:], 0)
 		if err != nil {

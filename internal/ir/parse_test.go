@@ -87,6 +87,10 @@ func TestParseErrors(t *testing.T) {
 		{"bad global initializer", "module m\nglobal @g 4 = zz\nfunc @main() i64 {\nentry:\n  ret i64 0\n}\n", "initializer"},
 		{"unterminated function", "module m\nfunc @main() i64 {\nentry:\n  ret i64 0\n", "unterminated"},
 		{"result id on void", "module m\nfunc @main() i64 {\nentry:\n  %0 = store i64 1, i64 2\n  ret i64 0\n}\n", "void"},
+		// Truncated lines used to index past the end of the token list.
+		{"alloca without size", "module 0\nfunc @()i64\n:\nalloca", "alloca"},
+		{"call without callee", "module m\nfunc @main() i64 {\nentry:\n  call i64\n  ret i64 0\n}\n", "callee"},
+		{"gep without element size", "module m\nfunc @main() i64 {\nentry:\n  %0 = gep i64 1, i64 2\n  ret i64 0\n}\n", "gep"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -40,15 +40,22 @@ func (mc *Machine) fastOK() bool {
 	return !mc.refCore && !mc.snapCapture && mc.traceRing == nil && mc.tr == nil
 }
 
+// liveFlags returns the architectural RFLAGS value of the live flag
+// state, lazy or concrete.
+func (mc *Machine) liveFlags() uint64 {
+	switch mc.flagKind {
+	case flagsLazySub:
+		return setSubFlags(mc.flagA, mc.flagB, mc.flagSize)
+	case flagsLazyTest:
+		return setLogicFlags(mc.flagA, mc.flagSize)
+	}
+	return mc.regs[asm.RFLAGS]
+}
+
 // materializeFlags folds pending lazy flag state into regs[RFLAGS].
 // No-op when the state is already concrete.
 func (mc *Machine) materializeFlags() {
-	switch mc.flagKind {
-	case flagsLazySub:
-		mc.regs[asm.RFLAGS] = setSubFlags(mc.flagA, mc.flagB, mc.flagSize)
-	case flagsLazyTest:
-		mc.regs[asm.RFLAGS] = setLogicFlags(mc.flagA, mc.flagSize)
-	}
+	mc.regs[asm.RFLAGS] = mc.liveFlags()
 	mc.flagKind = flagsConcrete
 }
 
@@ -114,10 +121,13 @@ func (mc *Machine) fastPop() uint64 {
 	return v
 }
 
-// execFast runs from the current pc until the sentinel return or a trap.
-// It must be observably identical to exec: same Result fields, same trap
-// points, same pc/steps/inject values on every panic path — which is why
-// the counters live in Machine fields rather than locals.
+// execFast runs from the current pc until the sentinel return, a trap,
+// or convergence with the golden run. It must be observably identical to
+// exec: same Result fields, same trap points, same pc/steps/inject values
+// on every panic path — which is why the counters live in Machine fields
+// rather than locals. The one per-instruction bound, stepLimit, folds the
+// timeout and the next golden checkpoint into a single compare whose
+// cold side is stepEvent.
 //
 // Operand truncation follows the reference but elides masks proven
 // redundant: writeReg re-masks results at widths 1 and 4, and the
@@ -134,8 +144,8 @@ func (mc *Machine) execFast() {
 		}
 		u := &uops[mc.pc]
 		mc.steps++
-		if mc.steps > mc.maxSteps {
-			mc.trap(sim.TrapTimeout)
+		if mc.steps > mc.stepLimit && mc.stepEvent() {
+			return
 		}
 
 		switch u.kind {
@@ -273,8 +283,8 @@ func (mc *Machine) execFast() {
 			mc.maybeInject(u.in)
 			mc.pc++
 			mc.steps++
-			if mc.steps > mc.maxSteps {
-				mc.trap(sim.TrapTimeout)
+			if mc.steps > mc.stepLimit && mc.stepEvent() {
+				return
 			}
 			if mc.evalCond(u.cond) {
 				mc.pc = u.target

@@ -15,12 +15,13 @@ import (
 // Machine is cheap to Run repeatedly (incremental memory reset) and not
 // safe for concurrent use.
 type Machine struct {
-	mod     *ir.Module
-	code    []minstr
-	entry   map[string]int32
-	srcInfo []string
-	mem     []byte
-	dataEnd int64
+	mod      *ir.Module
+	code     []minstr
+	entry    map[string]int32
+	srcInfo  []string
+	mem      []byte
+	dataEnd  int64
+	dataInit []byte // initial data-segment image (ir.Module.DataImage)
 
 	// Run state.
 	regs      [asm.NumRegs]uint64
@@ -47,7 +48,16 @@ type Machine struct {
 	dataLo       int64
 	dataHi       int64
 	snaps        []mSnapshot
-	goldenOut    []byte
+	golden       sim.Result
+
+	// Golden convergence (see snapshot.go). stepLimit is the fast core's
+	// one per-instruction bound: min(maxSteps, steps of checkpoint
+	// convAt, the next one a faulty run is compared against). convTail
+	// counts the golden instructions a converged run did not execute (0
+	// otherwise).
+	stepLimit int64
+	convAt    int
+	convTail  int64
 
 	// Optional execution trace: a ring buffer of recent pcs.
 	traceRing []int32
@@ -143,6 +153,7 @@ func New(m *ir.Module, prog *asm.Program) (*Machine, error) {
 		srcInfo:  srcInfo,
 		mem:      make([]byte, ir.MemSize),
 		dataEnd:  end,
+		dataInit: m.DataImage(),
 		minTouch: ir.StackTop,
 	}, nil
 }
@@ -190,6 +201,7 @@ func (mc *Machine) finish() sim.Result {
 	}
 	startSteps := mc.steps
 	mc.slowSteps = 0
+	mc.convTail = 0
 	usedFast := false
 	res := sim.Result{Status: sim.StatusOK}
 	func() {
@@ -210,31 +222,37 @@ func (mc *Machine) finish() sim.Result {
 			if mc.uops == nil {
 				mc.predecode()
 			}
+			mc.armConvergence()
 			mc.execFast()
 		} else {
 			mc.exec()
 		}
 	}()
 
-	res.Output = append([]byte(nil), mc.out...)
-	res.RetVal = int64(mc.regs[asm.RAX])
-	res.DynInstrs = mc.steps
-	res.InjectableInstrs = mc.inject
+	if mc.convTail > 0 {
+		// The rest of the run would have replayed the golden run.
+		res.Output = append([]byte(nil), mc.golden.Output...)
+		res.RetVal = mc.golden.RetVal
+		res.DynInstrs = mc.golden.DynInstrs
+		res.InjectableInstrs = mc.golden.InjectableInstrs
+	} else {
+		res.Output = append([]byte(nil), mc.out...)
+		res.RetVal = int64(mc.regs[asm.RAX])
+		res.DynInstrs = mc.steps
+		res.InjectableInstrs = mc.inject
+	}
 	res.Injected = mc.injected
 	res.InjectedStatic = mc.injStatic
 	res.InjectedOrigin = mc.injOrigin
 	res.InjectedChecker = mc.injCheck
 	if mc.met != nil {
-		mc.met.FlushRun(usedFast, mc.steps-startSteps, mc.slowSteps, time.Since(t0))
+		mc.met.FlushRun(usedFast, mc.steps-startSteps, mc.slowSteps, mc.convTail > 0, time.Since(t0))
 	}
 	return res
 }
 
 func (mc *Machine) reset() {
-	zero(mc.mem[ir.GlobalBase:mc.dataEnd])
-	for _, g := range mc.mod.Globals {
-		copy(mc.mem[g.Addr:g.Addr+g.Size], g.Init)
-	}
+	copy(mc.mem[ir.GlobalBase:mc.dataEnd], mc.dataInit)
 	if mc.minTouch < ir.StackTop {
 		zero(mc.mem[mc.minTouch:ir.StackTop])
 	}

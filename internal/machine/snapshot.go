@@ -1,6 +1,9 @@
 package machine
 
 import (
+	"bytes"
+	"sort"
+
 	"flowery/internal/asm"
 	"flowery/internal/ir"
 	"flowery/internal/sim"
@@ -45,24 +48,28 @@ func (mc *Machine) BuildSnapshots(interval int64, opts sim.Options) sim.Result {
 		mc.DropSnapshots()
 		return res
 	}
-	mc.goldenOut = append([]byte(nil), res.Output...)
+	mc.golden = res
+	mc.golden.Output = append([]byte(nil), res.Output...)
 	return res
 }
 
 // DropSnapshots releases all checkpoint storage.
 func (mc *Machine) DropSnapshots() {
 	mc.snaps = nil
-	mc.goldenOut = nil
+	mc.golden = sim.Result{}
 }
 
 // RunFrom is Run accelerated by checkpoint restore: it fast-forwards to
 // the densest snapshot below the fault's injection point and executes
 // from there. The returned result is bit-identical to Run's; skipped
-// reports how many dynamic instructions the restore avoided re-executing.
+// reports how many dynamic instructions the run did not execute — the
+// restored prefix plus, for a run that converged with the golden run,
+// the golden tail after the meeting checkpoint.
 func (mc *Machine) RunFrom(fault sim.Fault, opts sim.Options) (res sim.Result, skipped int64) {
 	s := mc.bestSnapshot(fault.TargetIndex)
 	if s == nil {
-		return mc.Run(fault, opts), 0
+		res = mc.Run(fault, opts)
+		return res, mc.convTail
 	}
 	mc.restore(s)
 	mc.maxSteps = opts.MaxSteps
@@ -73,7 +80,8 @@ func (mc *Machine) RunFrom(fault sim.Fault, opts sim.Options) (res sim.Result, s
 	mc.injectBit = fault.Bit
 	mc.refCore = opts.Reference
 	mc.setMetrics(opts.Metrics)
-	return mc.finish(), s.steps
+	res = mc.finish()
+	return res, s.steps + mc.convTail
 }
 
 // bestSnapshot returns the snapshot with the largest index strictly below
@@ -125,10 +133,7 @@ func (mc *Machine) captureSnapshot() {
 // for bit.
 func (mc *Machine) restore(s *mSnapshot) {
 	// Data segment: rebuild the initial image, overlay the dirty bytes.
-	zero(mc.mem[ir.GlobalBase:mc.dataEnd])
-	for _, g := range mc.mod.Globals {
-		copy(mc.mem[g.Addr:g.Addr+g.Size], g.Init)
-	}
+	copy(mc.mem[ir.GlobalBase:mc.dataEnd], mc.dataInit)
 	if s.dataLo < s.dataHi {
 		copy(mc.mem[s.dataLo:s.dataHi], s.data)
 	}
@@ -141,7 +146,7 @@ func (mc *Machine) restore(s *mSnapshot) {
 
 	mc.regs = s.regs
 	mc.pc = s.pc
-	mc.out = append(mc.out[:0], mc.goldenOut[:s.outLen]...)
+	mc.out = append(mc.out[:0], mc.golden.Output[:s.outLen]...)
 	mc.steps = s.steps
 	mc.inject = s.index
 	mc.injected = false
@@ -151,4 +156,91 @@ func (mc *Machine) restore(s *mSnapshot) {
 	// Snapshots are captured on the reference loop, where regs[RFLAGS] is
 	// always architectural — the restored flag state is concrete.
 	mc.flagKind = flagsConcrete
+}
+
+// Golden convergence. A faulty run whose complete state equals a golden
+// checkpoint's at the checkpoint's dynamic step executes the golden
+// run's suffix from there, instruction for instruction, so its Result
+// is the golden one apart from the Injected* fields. The fast core
+// therefore compares its state at each checkpoint past the injection
+// point and stops at the first match. The compare is total — pc,
+// injectable counter, registers, output, stack and data segment — never
+// a digest. The reference loop never converges: it stays the
+// independent oracle the fast core is diffed against.
+
+// armConvergence points stepLimit at the first checkpoint at or past the
+// injection point (before it the fault has not fired, and the state
+// trivially matches). Fault-free runs, runs without checkpoints, and
+// step budgets the golden run itself would exceed keep stepLimit at
+// maxSteps: a converged run reports the golden length, which must be a
+// length the scratch run could reach.
+func (mc *Machine) armConvergence() {
+	mc.convAt = len(mc.snaps)
+	if mc.injectAt > 0 && mc.golden.DynInstrs <= mc.maxSteps {
+		mc.convAt = sort.Search(len(mc.snaps), func(i int) bool { return mc.snaps[i].index >= mc.injectAt })
+	}
+	mc.setStepLimit()
+}
+
+// setStepLimit sets stepLimit to min(maxSteps, checkpoint convAt's steps).
+func (mc *Machine) setStepLimit() {
+	mc.stepLimit = mc.maxSteps
+	if mc.convAt < len(mc.snaps) && mc.snaps[mc.convAt].steps < mc.maxSteps {
+		mc.stepLimit = mc.snaps[mc.convAt].steps
+	}
+}
+
+// stepEvent is the fast core's cold path, taken when steps passes
+// stepLimit: either the run is out of budget (a timeout trap) or it is
+// about to execute the instruction at which checkpoint convAt was taken.
+// It reports whether the run converged; on a mismatch it arms the next
+// checkpoint.
+func (mc *Machine) stepEvent() bool {
+	if mc.steps > mc.maxSteps {
+		mc.trap(sim.TrapTimeout)
+	}
+	s := &mc.snaps[mc.convAt]
+	if mc.sameState(s) {
+		mc.steps = s.steps // the counted instruction does not execute
+		mc.convTail = mc.golden.DynInstrs - s.steps
+		return true
+	}
+	mc.convAt++
+	mc.setStepLimit()
+	return false
+}
+
+// sameState reports whether the machine state at the current instruction
+// boundary equals checkpoint s. Lazy flags compare as their
+// architectural value; memory below either run's stack low-water mark is
+// zero in both.
+func (mc *Machine) sameState(s *mSnapshot) bool {
+	regs := mc.regs
+	regs[asm.RFLAGS] = mc.liveFlags()
+	if mc.pc != s.pc || mc.inject != s.index || regs != s.regs ||
+		!bytes.Equal(mc.out, mc.golden.Output[:s.outLen]) {
+		return false
+	}
+	lo := min(mc.minTouch, s.minTouch)
+	return allZero(mc.mem[lo:s.minTouch]) &&
+		bytes.Equal(mc.mem[s.minTouch:ir.StackTop], s.stack) &&
+		sameData(mc.mem[ir.GlobalBase:mc.dataEnd], mc.dataInit, s.dataLo-ir.GlobalBase, s.dataHi-ir.GlobalBase, s.data)
+}
+
+// sameData reports whether seg equals the initial image init overlaid
+// with dirty at [lo, hi) (no overlay when lo >= hi).
+func sameData(seg, init []byte, lo, hi int64, dirty []byte) bool {
+	if lo >= hi {
+		return bytes.Equal(seg, init)
+	}
+	return bytes.Equal(seg[:lo], init[:lo]) && bytes.Equal(seg[lo:hi], dirty) && bytes.Equal(seg[hi:], init[hi:])
+}
+
+func allZero(b []byte) bool {
+	for _, c := range b {
+		if c != 0 {
+			return false
+		}
+	}
+	return true
 }

@@ -2,6 +2,8 @@ package machine
 
 import (
 	"bytes"
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"flowery/internal/backend"
@@ -128,4 +130,44 @@ func TestSnapshotFallbacks(t *testing.T) {
 		t.Fatalf("dropped snapshots still used")
 	}
 	sameResult(t, "late", want, got)
+}
+
+// TestConvergenceExact: a fast-core RunFrom that may stop early on
+// reconverging with the golden run must still equal a reference-core
+// scratch Run field for field, on raw and protected programs. The test
+// also requires the early exit to fire, so it cannot silently stop
+// working.
+func TestConvergenceExact(t *testing.T) {
+	const runs = 200
+	for _, name := range []string{"crc32", "susan"} {
+		for _, protect := range []bool{false, true} {
+			bm, _ := bench.ByName(name)
+			m := bm.Build()
+			if protect {
+				if err := dup.ApplyFull(m); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ms := buildMachines(t, m, 2)
+			ref, fast := ms[0], ms[1]
+			golden := ref.Run(sim.Fault{}, sim.Options{Reference: true})
+			fast.BuildSnapshots(max(golden.InjectableInstrs/64, 256), sim.Options{})
+
+			rng := rand.New(rand.NewSource(1))
+			converged := 0
+			for i := 0; i < runs; i++ {
+				f := sim.Fault{TargetIndex: 1 + rng.Int63n(golden.InjectableInstrs), Bit: rng.Intn(64)}
+				want := ref.Run(f, sim.Options{Reference: true})
+				got, _ := fast.RunFrom(f, sim.Options{})
+				sameResult(t, fmt.Sprintf("%s protect=%v %+v", name, protect, f), want, got)
+				if fast.convTail > 0 {
+					converged++
+				}
+			}
+			if converged == 0 {
+				t.Fatalf("%s protect=%v: no run converged with the golden run", name, protect)
+			}
+			t.Logf("%s protect=%v: %d of %d runs converged", name, protect, converged, runs)
+		}
+	}
 }

@@ -271,9 +271,13 @@ type SnapshotEngine interface {
 	// golden Result. Snapshots are kept only if the run completed with
 	// StatusOK.
 	BuildSnapshots(interval int64, o Options) Result
-	// RunFrom is Run accelerated by checkpoint restore. skipped reports
-	// how many dynamic instructions were fast-forwarded over (0 when the
-	// run fell back to a from-scratch execution).
+	// RunFrom is Run accelerated by checkpoint restore and, on engines
+	// that compare a faulty run's state with the golden checkpoints, by
+	// stopping a run that reconverges with the golden run (its result is
+	// the golden one apart from the Injected* fields). skipped reports
+	// how many of the result's DynInstrs were not executed: the restored
+	// prefix (0 when the run started from scratch) plus any converged
+	// tail.
 	RunFrom(f Fault, o Options) (res Result, skipped int64)
 	// DropSnapshots releases checkpoint storage.
 	DropSnapshots()

@@ -13,6 +13,7 @@ type EngineMetrics struct {
 	dur    [2]*Histogram
 	rate   [2]*Gauge
 	slow   *Counter
+	conv   *Counter
 }
 
 // NewEngineMetrics resolves an engine's metric handles in r (nil r →
@@ -24,6 +25,7 @@ func NewEngineMetrics(r *Registry, engine string) *EngineMetrics {
 	}
 	m := &EngineMetrics{
 		slow: r.Counter(`engine_slow_fallback_total{engine="` + engine + `"}`),
+		conv: r.Counter(`engine_converged_total{engine="` + engine + `"}`),
 	}
 	for i, core := range [...]string{"ref", "fast"} {
 		l := `{engine="` + engine + `",core="` + core + `"}`
@@ -37,10 +39,11 @@ func NewEngineMetrics(r *Registry, engine string) *EngineMetrics {
 
 // FlushRun records one completed engine run: which core served it, how
 // many instructions it executed, how many of those fell back to the
-// generic slow step, and its wall time. The instrs/sec gauge is
-// recomputed from the cumulative counters, so on a registry shared by
-// campaign workers it reads as fleet-wide core throughput.
-func (m *EngineMetrics) FlushRun(fast bool, instrs, slowSteps int64, d time.Duration) {
+// generic slow step, whether it stopped early on reconverging with the
+// golden run, and its wall time. The instrs/sec gauge is recomputed from
+// the cumulative counters, so on a registry shared by campaign workers
+// it reads as fleet-wide core throughput.
+func (m *EngineMetrics) FlushRun(fast bool, instrs, slowSteps int64, converged bool, d time.Duration) {
 	if m == nil {
 		return
 	}
@@ -53,6 +56,9 @@ func (m *EngineMetrics) FlushRun(fast bool, instrs, slowSteps int64, d time.Dura
 	m.dur[i].Observe(d)
 	if slowSteps > 0 {
 		m.slow.Add(slowSteps)
+	}
+	if converged {
+		m.conv.Inc()
 	}
 	if s := m.dur[i].Sum().Seconds(); s > 0 {
 		m.rate[i].Set(float64(m.instrs[i].Value()) / s)

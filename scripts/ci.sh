@@ -16,6 +16,10 @@ go test -race ./...
 # outcome fields on protected crc32 must match testdata byte for byte.
 # The pin skips under -race (too slow there), so it runs plainly here.
 go test ./internal/campaign -run TestCampaignOutcomesGolden -count=1
+# Golden-convergence gate (DESIGN.md §8): full campaigns on raw susan
+# write identical reclog bytes with snapshots (and so the early exit)
+# on and off, at both layers. It also skips under -race.
+go test ./internal/campaign -run TestSnapshotsOnOffReclog -count=1
 
 # The benchmark is a Go module of its own, so `go test ./...` above
 # skips it; build, vet and test it here so an API break in internal/
