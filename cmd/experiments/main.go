@@ -38,8 +38,7 @@ import (
 var validArtifacts = []string{
 	"all", "table1", "fig2", "fig3", "fig17", "overhead", "passtime",
 	"ablation", "pressure", "convergence", "campbench", "pipebench",
-	"prunebench", "maskbench", "sectionbench", "simbench", "shardbench",
-	"results",
+	"prunebench", "maskbench", "sectionbench", "simbench", "results",
 }
 
 func benchByName(n string) (bench.Benchmark, bool) { return bench.ByName(n) }
@@ -131,10 +130,12 @@ func main() {
 	cfg.Seed = *seed
 	cfg.Workers = *workers
 	cfg.Shards = *shards
-	cfg.ShardWorkers = *shardWorkers
+	if *shardWorkers > 1 {
+		cfg.ShardPool.Procs = *shardWorkers
+	}
 	for _, a := range strings.Split(*remoteWorkers, ",") {
 		if a = strings.TrimSpace(a); a != "" {
-			cfg.RemoteWorkers = append(cfg.RemoteWorkers, a)
+			cfg.ShardPool.Dial = append(cfg.ShardPool.Dial, a)
 		}
 	}
 	cfg.Reference = *refcore
@@ -145,7 +146,7 @@ func main() {
 		// instead.
 		switch *only {
 		case "ablation", "pressure", "convergence", "campbench", "pipebench",
-			"prunebench", "maskbench", "sectionbench", "simbench", "shardbench":
+			"prunebench", "maskbench", "sectionbench", "simbench":
 			fmt.Fprintf(os.Stderr, "experiments: -maskstatic does not apply to %q (that artifact controls its own campaign sides)\n", *only)
 			os.Exit(2)
 		}
@@ -160,7 +161,7 @@ func main() {
 		// partition by program section instead of run range.
 		switch *only {
 		case "ablation", "pressure", "convergence", "campbench", "pipebench",
-			"prunebench", "maskbench", "sectionbench", "simbench", "shardbench":
+			"prunebench", "maskbench", "sectionbench", "simbench":
 			fmt.Fprintf(os.Stderr, "experiments: -sections does not apply to %q (that artifact controls its own campaign sides)\n", *only)
 			os.Exit(2)
 		}
@@ -395,34 +396,6 @@ func main() {
 			return
 		}
 		fmt.Println(experiment.CampaignBench(perfs))
-		return
-
-	// The sharded multi-process campaign benchmark: scaling over worker
-	// process counts plus the record-log encoding comparison; with -json
-	// it emits the BENCH_5.json artifact. Builds its own pools (it
-	// measures the process executor directly), so -pipeline and
-	// -shards/-shard-workers do not apply.
-	case "shardbench":
-		ns := names
-		if len(ns) == 0 {
-			ns = []string{"crc32", "susan"}
-		}
-		start := time.Now()
-		results, err := experiment.RunShardBench(ns, cfg)
-		if err != nil {
-			fail(err)
-		}
-		progress("shardbench", time.Since(start))
-		if *jsonOut {
-			data, err := experiment.ShardBenchJSON(results, cfg)
-			if err != nil {
-				fail(err)
-			}
-			os.Stdout.Write(data)
-			fmt.Println()
-			return
-		}
-		fmt.Println(experiment.ShardBench(results))
 		return
 
 	// The register-pressure sweep lowers the shared module artifacts

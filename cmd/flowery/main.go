@@ -53,7 +53,8 @@ var (
 
 func main() {
 	// When spawned as a shard worker (FLOWERY_SHARD_WORKER set by the
-	// coordinator), serve the worker protocol instead of parsing flags.
+	// coordinator) or pointed at one (FLOWERY_SHARD_WORKER_CONNECT),
+	// serve the worker protocol instead of parsing flags.
 	shard.MaybeServeWorker()
 
 	// Global flags precede the subcommand: flowery -cpuprofile=cpu.out inject ...
@@ -128,8 +129,9 @@ func main() {
 	case "remote":
 		err = cmdRemote(args)
 	case "shard-worker":
-		// Explicit worker mode (the env-var path above covers spawned
-		// workers; this argv form keeps the mode visible in ps output).
+		// Socket worker mode (-connect/-listen). Spawned workers run as
+		// `flowery shard-worker` too, so the mode shows in ps output, but
+		// MaybeServeWorker above has already served them.
 		err = cmdShardWorker(args)
 	default:
 		usage()
@@ -438,18 +440,13 @@ func cmdInject(args []string) error {
 	cfg.CampaignWorkers = *workers
 	cfg.Shards = *shards
 	if *shardWorkers > 1 {
-		cfg.ShardProcs = *shardWorkers
-		self, err := os.Executable()
-		if err != nil {
-			return fmt.Errorf("inject: resolving own binary for shard workers: %w", err)
-		}
-		cfg.ShardCommand = []string{self, "shard-worker"}
+		cfg.ShardPool.Procs = *shardWorkers
 	}
 	if remote {
-		cfg.RemoteWorkers = splitAddrs(*remoteWorkers)
-		cfg.RemoteListen = *remoteListen
-		cfg.RemoteHeartbeat = *remoteHeartbeat
-		cfg.RemoteRedials = *remoteRedials
+		cfg.ShardPool.Dial = splitAddrs(*remoteWorkers)
+		cfg.ShardPool.Listen = *remoteListen
+		cfg.ShardPool.Heartbeat = *remoteHeartbeat
+		cfg.ShardPool.Redials = *remoteRedials
 	}
 	pl := pipeline.New(cfg)
 	opts := pipeline.CampaignOpts{Layer: l}
@@ -543,12 +540,12 @@ func splitAddrs(csv string) []string {
 	return out
 }
 
-// cmdShardWorker runs the worker half of the shard protocol: on
-// stdin/stdout with no flags (the pipe transport the coordinator spawns
-// directly), or over a socket with -connect (dial a coordinator's
-// -remote-listen or a floweryd -shard-listen hub, re-registering after
-// each job) / -listen (serve dialing coordinators; -addr-file resolves
-// host:0 for scripts).
+// cmdShardWorker runs a socket shard worker: -connect dials a
+// coordinator's -remote-listen or a floweryd -shard-listen hub,
+// re-registering after each job; -listen serves dialing coordinators
+// (-addr-file resolves host:0 for scripts). Workers spawned by
+// -shard-workers never get here: shard.MaybeServeWorker diverts them
+// at the top of main.
 func cmdShardWorker(args []string) error {
 	fs := flag.NewFlagSet("shard-worker", flag.ExitOnError)
 	connect := fs.String("connect", "", "dial this coordinator or floweryd -shard-listen hub (host:port)")
@@ -560,9 +557,6 @@ func cmdShardWorker(args []string) error {
 	fs.Parse(args)
 	if fs.NArg() != 0 {
 		return fmt.Errorf("shard-worker: unexpected arguments %v", fs.Args())
-	}
-	if *connect == "" && *listen == "" {
-		return shard.ServeWorker(os.Stdin, os.Stdout)
 	}
 	return shard.RunWorker(shard.WorkerOpts{
 		Connect:   *connect,

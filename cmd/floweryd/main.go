@@ -35,13 +35,6 @@ func main() {
 	// Sharded jobs re-execute this binary as shard workers; serve that
 	// protocol before flag parsing, exactly like cmd/flowery.
 	shard.MaybeServeWorker()
-	if len(os.Args) > 1 && os.Args[1] == "shard-worker" {
-		if err := shard.ServeWorker(os.Stdin, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "floweryd:", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	addr := flag.String("addr", "127.0.0.1:8080", "listen address (use :0 for an ephemeral port)")
 	addrFile := flag.String("addr-file", "", "write the bound address to this file once listening (for scripts using -addr :0)")

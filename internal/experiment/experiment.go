@@ -19,6 +19,7 @@ import (
 	"flowery/internal/interp"
 	"flowery/internal/ir"
 	"flowery/internal/machine"
+	"flowery/internal/shard"
 	"flowery/internal/sim"
 	"flowery/internal/store"
 	"flowery/internal/telemetry"
@@ -44,16 +45,14 @@ type Config struct {
 	// either way — gated by scripts/ci.sh — so this is purely a
 	// scheduling/scale knob. Wired from cmd/experiments -shards.
 	Shards int
-	// ShardWorkers farms shards to this many worker processes
-	// (internal/shard; <= 1 executes shards in-process). Requires the
-	// host binary to call shard.MaybeServeWorker at startup. Wired from
-	// cmd/experiments -shard-workers.
-	ShardWorkers int
-	// RemoteWorkers dials these socket shard workers (`flowery
-	// shard-worker -listen`) instead of local worker processes
-	// (shard.RemotePool; transport-only, bit-identical per DESIGN.md
-	// §17). Wired from cmd/experiments -remote-workers.
-	RemoteWorkers []string
+	// ShardPool is where sharded campaigns execute
+	// (pipeline.Config.ShardPool; the zero value is in-process). Procs
+	// spawns worker processes, which requires the host binary to call
+	// shard.MaybeServeWorker at startup; Dial lists socket shard workers
+	// (`flowery shard-worker -listen`). Transport only, bit-identical per
+	// DESIGN.md §13/§17. Wired from cmd/experiments -shard-workers and
+	// -remote-workers.
+	ShardPool shard.PoolOpts
 	// Pruning selects equivalence-pruned campaigns (campaign.PruneClasses)
 	// for every per-level measurement, trading exhaustive injection for
 	// extrapolated statistics (DESIGN.md §10). Experiments that study

@@ -57,8 +57,7 @@ func newStudy(cfg Config, disabled bool) *Study {
 		// way (campaign's scheduling-independence contract).
 		CampaignWorkers: 1,
 		Shards:          cfg.Shards,
-		ShardProcs:      cfg.ShardWorkers,
-		RemoteWorkers:   cfg.RemoteWorkers,
+		ShardPool:       cfg.ShardPool,
 		Disabled:        disabled,
 		Reference:       cfg.Reference,
 		Artifacts:       cfg.Artifacts,

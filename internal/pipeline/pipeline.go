@@ -68,35 +68,16 @@ type Config struct {
 	// while the bit-identity gate compares them; pruned campaigns ignore
 	// it (they stratify instead of sharding).
 	Shards int
-	// ShardProcs farms the shards out to this many worker processes
-	// (internal/shard) instead of executing them in-process; values <= 1
-	// keep execution in-process. Excluded from artifact keys: like
-	// CampaignWorkers it only changes scheduling, never outcomes.
-	ShardProcs int
-	// ShardCommand overrides the worker argv (default: re-execute this
-	// binary, relying on shard.MaybeServeWorker). Excluded from keys.
-	ShardCommand []string
-	// RemoteWorkers lists socket shard-worker addresses (host:port,
-	// workers started with `flowery shard-worker -listen`) a sharded
-	// campaign dials instead of spawning local worker processes
-	// (shard.RemotePool). Requires Shards > 0. Excluded from artifact
-	// keys: the transport moves execution, never outcomes — the merged
-	// statistics are bit-identical to the local path by the dispatcher's
-	// first-result-wins contract (DESIGN.md §17).
-	RemoteWorkers []string
-	// RemoteListen, when non-empty, has the coordinator listen on this
-	// host:port for workers dialing in with `-connect`. Excluded from
-	// keys.
-	RemoteListen string
-	// RemoteHub supplies workers pre-registered with a daemon's
-	// -shard-listen hub (floweryd). Excluded from keys.
-	RemoteHub *shard.Hub
-	// RemoteHeartbeat, RemoteHeartbeatMiss, and RemoteRedials tune the
-	// socket transport's liveness and reconnect policy (zero = the shard
-	// package defaults). Excluded from keys.
-	RemoteHeartbeat     time.Duration
-	RemoteHeartbeatMiss int
-	RemoteRedials       int
+	// ShardPool is where sharded campaigns execute. The zero value runs
+	// them in-process through the engine factory; Procs spawns local
+	// worker processes, and Dial, Listen, and Hub attach socket workers
+	// (shard.PoolOpts; any mix, one pool). The pipeline fills in only
+	// the job, CampaignOpts.ShardStream, and Telemetry. Excluded from
+	// artifact keys: like CampaignWorkers it moves execution, never
+	// outcomes — the merged statistics are bit-identical to the
+	// in-process path by the dispatcher's first-result-wins contract
+	// (DESIGN.md §13, §17).
+	ShardPool shard.PoolOpts
 	// Parallel is the scheduler width users of ForEach should pass
 	// (0 = GOMAXPROCS). Recorded here so studies and their sub-sweeps
 	// agree on one budget.
@@ -580,8 +561,8 @@ type CampaignOpts struct {
 	// -reclog`).
 	Records func(campaign.Record)
 	// ShardStream, when non-nil, receives each accepted shard's raw
-	// reclog bytes as it completes (remote transport only; see
-	// shard.RemoteOpts.Stream). floweryd spills the blobs into its
+	// reclog bytes as it completes (worker pools only; see
+	// shard.PoolOpts.Stream). floweryd spills the blobs into its
 	// persistent store incrementally instead of buffering records in
 	// memory. Observation only and excluded from the key; like Records
 	// it bypasses store recall, since a recalled artifact streams
@@ -910,45 +891,28 @@ func ProtectionVariant(level float64, fl bool) Variant {
 }
 
 // shardExecutor builds the executor for a sharded campaign: nil (the
-// in-process executor through the engine factory) unless Config asks
-// for worker processes — local children over pipes, or the socket
-// transport when any remote source (dial list, listen address, hub) is
-// configured. Either way the variant's pristine module rides to the
-// workers as IR text and is re-derived there exactly the way Compiled
-// derives it here. Pool telemetry (worker spawns, shards, steals,
-// result bytes, remote connect/redial/re-deal counters) reports into
-// Config.Telemetry.
+// in-process executor through the engine factory) unless Config names
+// a worker source, else a shard.Pool over Config.ShardPool. The
+// variant's pristine module rides to the workers as IR text and is
+// re-derived there exactly the way Compiled derives it here. Pool
+// telemetry (worker spawns, shards, steals, result bytes, connect,
+// redial, and re-deal counters) reports into Config.Telemetry.
 func (p *Pipeline) shardExecutor(src Source, v Variant, opts CampaignOpts) (campaign.ShardExecutor, error) {
-	remote := len(p.cfg.RemoteWorkers) > 0 || p.cfg.RemoteListen != "" || p.cfg.RemoteHub != nil
-	if !remote && p.cfg.ShardProcs <= 1 && len(p.cfg.ShardCommand) == 0 {
+	po := p.cfg.ShardPool
+	if !po.HasWorkers() {
 		return nil, nil
 	}
 	pm, err := p.Module(src, v)
 	if err != nil {
 		return nil, err
 	}
-	job := shard.Job{
+	po.Stream = opts.ShardStream
+	po.Metrics = p.cfg.Telemetry
+	return shard.NewPool(shard.Job{
 		Module:     pm.String(),
 		Layer:      opts.Layer.String(),
 		GPRScratch: opts.Backend.GPRScratch,
-	}
-	if remote {
-		return shard.NewRemotePool(job, shard.RemoteOpts{
-			Dial:          p.cfg.RemoteWorkers,
-			Listen:        p.cfg.RemoteListen,
-			Hub:           p.cfg.RemoteHub,
-			Heartbeat:     p.cfg.RemoteHeartbeat,
-			HeartbeatMiss: p.cfg.RemoteHeartbeatMiss,
-			Redials:       p.cfg.RemoteRedials,
-			Stream:        opts.ShardStream,
-			Metrics:       p.cfg.Telemetry,
-		}), nil
-	}
-	return shard.NewPool(job, shard.PoolOpts{
-		Procs:   p.cfg.ShardProcs,
-		Command: p.cfg.ShardCommand,
-		Metrics: p.cfg.Telemetry,
-	}), nil
+	}, po), nil
 }
 
 // Telemetry is a snapshot of the pipeline's per-stage cache counters

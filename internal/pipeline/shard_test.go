@@ -31,7 +31,7 @@ func TestShardedCampaignMatchesUnsharded(t *testing.T) {
 	for _, procs := range []int{0, 2} {
 		cfg := testCfg
 		cfg.Shards = 4
-		cfg.ShardProcs = procs
+		cfg.ShardPool.Procs = procs
 		p := New(cfg)
 		got, err := p.Campaign(src, RawVariant(), CampaignOpts{Layer: LayerAsm})
 		if err != nil {
@@ -45,7 +45,7 @@ func TestShardedCampaignMatchesUnsharded(t *testing.T) {
 }
 
 // TestShardKeyInKey: shard count must be part of the campaign key, and
-// scheduling knobs (ShardProcs) must not be.
+// scheduling knobs (ShardPool) must not be.
 func TestShardKeyInKey(t *testing.T) {
 	src := testSource(t)
 	cfg := testCfg
@@ -57,7 +57,7 @@ func TestShardKeyInKey(t *testing.T) {
 	if st := stageTel(t, p, StageCampaign); st.Misses != 1 {
 		t.Fatalf("campaign misses = %d, want 1", st.Misses)
 	}
-	// Same campaign again: a hit, proving ShardProcs-independent keys
+	// Same campaign again: a hit, proving ShardPool-independent keys
 	// would have coalesced (procs isn't in Config mid-flight, but the
 	// key must be stable for the same shard count).
 	if _, err := p.Campaign(src, RawVariant(), CampaignOpts{Layer: LayerAsm}); err != nil {

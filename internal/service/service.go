@@ -17,7 +17,6 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
-	"os"
 	"sort"
 	"sync"
 	"time"
@@ -388,28 +387,32 @@ func source(spec api.JobSpec) (pipeline.Source, error) {
 // artifact store and the job's child registry.
 func (m *Manager) pipelineConfig(j *job) pipeline.Config {
 	spec := j.spec
-	cfg := pipeline.Config{
+	return pipeline.Config{
 		Runs:            spec.Runs,
 		ProfileSamples:  spec.Samples,
 		Seed:            spec.Seed,
 		MaxSteps:        spec.MaxSteps,
 		CampaignWorkers: spec.Workers,
 		Shards:          spec.Shards,
+		ShardPool:       m.shardPool(spec),
 		Artifacts:       m.cfg.Artifacts,
 		Telemetry:       j.reg,
 	}
+}
+
+// shardPool maps the spec's transport fields onto the shard pool:
+// ShardWorkers spawns children re-executing this binary (floweryd calls
+// shard.MaybeServeWorker at startup exactly like flowery does), and
+// RemoteWorkers claims socket workers parked on the daemon's hub.
+func (m *Manager) shardPool(spec api.JobSpec) shard.PoolOpts {
+	var po shard.PoolOpts
 	if spec.ShardWorkers > 1 {
-		cfg.ShardProcs = spec.ShardWorkers
-		// Default worker argv: re-execute this binary; floweryd calls
-		// shard.MaybeServeWorker at startup exactly like flowery does.
-		if self, err := os.Executable(); err == nil {
-			cfg.ShardCommand = []string{self, "shard-worker"}
-		}
+		po.Procs = spec.ShardWorkers
 	}
 	if spec.RemoteWorkers {
-		cfg.RemoteHub = m.cfg.Hub
+		po.Hub = m.cfg.Hub
 	}
-	return cfg
+	return po
 }
 
 func variant(spec api.JobSpec) pipeline.Variant {
@@ -613,7 +616,7 @@ func (m *Manager) runStudy(j *job) error {
 		Seed:           spec.Seed,
 		Workers:        spec.Workers,
 		Shards:         spec.Shards,
-		ShardWorkers:   spec.ShardWorkers,
+		ShardPool:      m.shardPool(spec),
 		Telemetry:      j.reg,
 		Artifacts:      m.cfg.Artifacts,
 	}

@@ -262,3 +262,62 @@ func TestChaosWorkerSIGKILL(t *testing.T) {
 		t.Fatalf("survivor absorbed no shards: %+v", ps.Workers)
 	}
 }
+
+// TestChaosLocalWorkerDies kills spawned children mid-campaign: every
+// child inherits EnvChaosExitAfter=1 from the test's environment and
+// exits abruptly right after its first result, with its next range in
+// hand. A socket survivor — served in-process, where the hook is not
+// read — joins once a re-deal has happened and absorbs the rest; the
+// merged statistics must not move.
+func TestChaosLocalWorkerDies(t *testing.T) {
+	checkGoroutines(t)
+	pristine := testModule(t, "crc32")
+	spec := campaign.Spec{Runs: 240, Seed: 13, Workers: 1}
+	single, err := campaign.Run(asmFactory(t, pristine, 0), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	t.Setenv(EnvChaosExitAfter, "1")
+	addr := freeAddr(t)
+	reg := telemetry.New()
+	opts := testRemoteOpts()
+	// Children start a whole process (and, under -race, an instrumented
+	// runtime) before their hello; give them the same slack as the
+	// SIGKILL'd worker above.
+	opts.Heartbeat = 200 * time.Millisecond
+	opts.HeartbeatMiss = 25
+	opts.Procs = 2
+	opts.Listen = addr
+	opts.Metrics = reg
+
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		deadline := time.Now().Add(30 * time.Second)
+		for reg.Counter("shard_shards_redealt_total").Value() < 1 && time.Now().Before(deadline) {
+			time.Sleep(5 * time.Millisecond)
+		}
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Errorf("survivor: %v", err)
+			return
+		}
+		serveWorkerConn(conn, WorkerOpts{Name: "survivor", Heartbeat: testHeartbeat})
+	}()
+	t.Cleanup(wg.Wait)
+
+	pool := remotePoolFor(t, pristine, LayerAsm, opts)
+	st, err := campaign.RunSharded(nil, spec, campaign.ShardOpts{Shards: 8, Exec: pool})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameOutcomes(t, "dying children", single, st)
+	if got := reg.Counter("shard_shards_redealt_total").Value(); got < 1 {
+		t.Fatalf("children died mid-campaign but nothing re-dealt (redealt=%d)", got)
+	}
+	if got := reg.Counter("shard_workers_spawned_total").Value(); got != 2 {
+		t.Fatalf("shard_workers_spawned_total = %d, want 2", got)
+	}
+}

@@ -17,7 +17,7 @@ import (
 // parker goroutine drains the worker's heartbeat pings and evicts
 // connections that go silent; the claim handoff is frame-aligned and
 // byte-exact — the parker reads the connection one byte at a time with
-// no buffering of its own, so the claiming RemotePool can attach its
+// no buffering of its own, so the claiming Pool can attach its
 // buffered reader without losing bytes in transit. After a campaign
 // quits a worker, the worker re-dials the hub and registers afresh.
 type Hub struct {
@@ -32,7 +32,7 @@ type Hub struct {
 	wg     sync.WaitGroup
 
 	// arrived pulses (buffered, best-effort) when a worker registers,
-	// waking any RemotePool waiting to claim one.
+	// waking any Pool waiting to claim one.
 	arrived chan struct{}
 }
 
@@ -68,7 +68,7 @@ func (pw *parkedWorker) isClaimed() bool {
 	return pw.claimed
 }
 
-// claimedWorker is a parked worker handed to a RemotePool: hello
+// claimedWorker is a parked worker handed to a Pool: hello
 // already validated, no bytes in flight beyond whole ping frames.
 type claimedWorker struct {
 	name string

@@ -1,9 +1,10 @@
 // Package shard farms a fault-injection campaign's shards out to worker
-// processes. The coordinator (Pool, a campaign.ShardExecutor) spawns
-// workers running this same binary (see MaybeServeWorker), ships each
-// one the campaign job — pristine module IR text plus the
-// outcome-relevant spec knobs — over a length-framed stdin/stdout
-// protocol, then deals shard ranges to whichever worker is idle,
+// processes. The coordinator (Pool, a campaign.ShardExecutor) takes
+// workers from four sources — children running this same binary (see
+// MaybeServeWorker), dialed and accepted TCP workers, and a daemon's
+// hub — ships each one the campaign job — pristine module IR text plus
+// the outcome-relevant spec knobs — over one length-framed protocol,
+// then deals shard ranges to whichever worker is idle,
 // re-dealing straggler shards to idle workers near the end
 // (work stealing; shards are deterministic, so the first completed
 // result wins and duplicates are dropped). Per-run results travel back
@@ -14,7 +15,8 @@
 //
 //	[type: 1 byte][payload length: uvarint][payload]
 //
-// and the conversation is strictly coordinator-driven —
+// and, after the worker's opening hello, the conversation is strictly
+// coordinator-driven —
 //
 //	coordinator → worker:  job, then any number of shard assignments,
 //	                       then quit
@@ -46,10 +48,9 @@ import (
 //	msgResult uvarint header length, JSON resultHeader, reclog stream
 //	msgError  UTF-8 error text
 //	msgQuit   empty
-//	msgHello  JSON-encoded hello (socket transport only: proto + name)
-//	msgPing   empty application-level heartbeat (socket transport only;
-//	          either side may send one at any frame boundary, and every
-//	          reader skips them)
+//	msgHello  JSON-encoded hello (proto + name), the worker's first frame
+//	msgPing   empty application-level heartbeat (either side may send
+//	          one at any frame boundary, and every reader skips them)
 const (
 	msgJob byte = iota + 1
 	msgReady
@@ -61,7 +62,7 @@ const (
 	msgPing
 )
 
-// ProtoVersion is the socket transport's handshake version. A worker
+// ProtoVersion is the protocol's handshake version. A worker
 // whose hello carries a different version is rejected during the
 // handshake with a one-line error instead of failing later with a
 // frame-shape mismatch deep inside a campaign.
@@ -268,11 +269,10 @@ func decodeShard(payload []byte) (campaign.ShardRange, error) {
 	return campaign.ShardRange{Lo: int(lo), Hi: int(hi)}, nil
 }
 
-// frameSink serializes whole frames onto one writer. The pipe transport
-// has a single writer per direction and never contends; the socket
-// transport shares the sink between the protocol loop and the heartbeat
-// goroutine, and the mutex spans write+flush so a ping can never land
-// inside another frame's bytes.
+// frameSink serializes whole frames onto one writer. A worker shares
+// its sink between the protocol loop and the heartbeat goroutine, and
+// the mutex spans write+flush so a ping can never land inside another
+// frame's bytes.
 type frameSink struct {
 	mu sync.Mutex
 	bw *bufio.Writer

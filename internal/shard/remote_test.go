@@ -26,8 +26,8 @@ import (
 // death verdicts.
 const testHeartbeat = 50 * time.Millisecond
 
-func testRemoteOpts() RemoteOpts {
-	return RemoteOpts{
+func testRemoteOpts() PoolOpts {
+	return PoolOpts{
 		Heartbeat:     testHeartbeat,
 		HeartbeatMiss: 10,
 		BackoffBase:   time.Millisecond,
@@ -80,7 +80,7 @@ func startWorker(t *testing.T, name string) string {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				serveWorkerConn(conn, name, testHeartbeat)
+				serveWorkerConn(conn, WorkerOpts{Name: name, Heartbeat: testHeartbeat})
 			}()
 		}
 	}()
@@ -123,9 +123,9 @@ func freeAddr(t *testing.T) string {
 	return addr
 }
 
-func remotePoolFor(t *testing.T, pristine fmt.Stringer, layer string, opts RemoteOpts) *RemotePool {
+func remotePoolFor(t *testing.T, pristine fmt.Stringer, layer string, opts PoolOpts) *Pool {
 	t.Helper()
-	return NewRemotePool(Job{Module: pristine.String(), Layer: layer}, opts)
+	return NewPool(Job{Module: pristine.String(), Layer: layer}, opts)
 }
 
 // TestRemoteDialMatchesRun is the socket twin of TestPoolMatchesRunAsm:
@@ -447,7 +447,7 @@ func TestRemoteDuplicateNameRefused(t *testing.T) {
 // reports a clean (nil) exit so no error noise is recorded.
 func TestRemoteLateWorkerTurnedAway(t *testing.T) {
 	checkGoroutines(t)
-	r := &remoteRun{
+	r := &poolRun{
 		opts:    testRemoteOpts().withDefaults(),
 		d:       newDispatcher(0), // zero shards: allDone from the start
 		stop:    make(chan struct{}),

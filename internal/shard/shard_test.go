@@ -1,8 +1,10 @@
 package shard
 
 import (
-	"bytes"
+	"io"
+	"net"
 	"os"
+	"strings"
 	"testing"
 
 	"flowery/internal/backend"
@@ -17,8 +19,9 @@ import (
 )
 
 // TestMain lets this test binary double as the worker process: the pool
-// re-executes os.Executable() with EnvWorker set, and MaybeServeWorker
-// diverts that invocation into the protocol loop before any test runs.
+// re-executes os.Executable() with EnvWorker set and the connection on
+// fd 3, and MaybeServeWorker diverts that invocation into the worker
+// loop before any test runs.
 func TestMain(m *testing.M) {
 	MaybeServeWorker()
 	os.Exit(m.Run())
@@ -96,8 +99,10 @@ func TestPoolMatchesRunAsm(t *testing.T) {
 			if got := len(ps.Workers); got != min(shape.procs, shape.shards) {
 				t.Fatalf("%s procs=%d shards=%d: %d workers spawned", in.name, shape.procs, shape.shards, got)
 			}
-			if ps.CriticalPathCPU() <= 0 {
-				t.Fatalf("%s procs=%d: no CPU accounting", in.name, shape.procs)
+			for _, w := range ps.Workers {
+				if w.Shards > 0 && w.CPUNanos <= 0 {
+					t.Fatalf("%s procs=%d: worker %s has no CPU accounting", in.name, shape.procs, w.Name)
+				}
 			}
 		}
 	}
@@ -179,29 +184,47 @@ func TestPoolTelemetry(t *testing.T) {
 // TestWorkerRejectsGarbage: a coordinator speaking nonsense must get a
 // clean error, not a hung or crashed worker.
 func TestWorkerRejectsGarbage(t *testing.T) {
-	var out bytes.Buffer
-	in := bytes.NewBuffer(nil)
-	writeFrame(in, msgJob, []byte("{not json"))
-	if err := ServeWorker(in, &out); err == nil {
-		t.Fatal("garbage job accepted")
-	}
-	in.Reset()
-	out.Reset()
-	writeFrame(in, msgShard, encodeShard(campaign.ShardRange{Lo: 0, Hi: 1}))
-	if err := ServeWorker(in, &out); err == nil {
-		t.Fatal("shard before job accepted")
+	for _, tc := range []struct {
+		name    string
+		typ     byte
+		payload []byte
+	}{
+		{"garbage job", msgJob, []byte("{not json")},
+		{"shard before job", msgShard, encodeShard(campaign.ShardRange{Lo: 0, Hi: 1})},
+	} {
+		coord, worker := net.Pipe()
+		served := make(chan error, 1)
+		go func() {
+			_, err := serveWorkerConn(worker, WorkerOpts{Name: "w", Heartbeat: testHeartbeat})
+			served <- err
+		}()
+		go io.Copy(io.Discard, coord) // hello, pings, the worker's error frame
+		writeFrame(coord, tc.typ, tc.payload)
+		if err := <-served; err == nil {
+			t.Fatalf("%s accepted", tc.name)
+		}
+		coord.Close()
 	}
 }
 
-// TestPoolBadCommand: a worker binary that isn't a flowery worker (here:
-// /bin/false dies instantly) must surface as an error, not a hang.
+// TestPoolBadCommand: a spawned worker that isn't a flowery worker
+// (here: /bin/false dies instantly) must surface as an error, not a
+// hang, carrying whatever the dead child wrote to stderr.
 func TestPoolBadCommand(t *testing.T) {
 	pristine := testModule(t, "crc32")
-	pool := NewPool(Job{Module: pristine.String(), Layer: LayerAsm},
-		PoolOpts{Procs: 2, Command: []string{"/bin/false"}})
-	_, err := campaign.RunSharded(nil, campaign.Spec{Runs: 20, Seed: 1}, campaign.ShardOpts{Shards: 2, Exec: pool})
-	if err == nil {
-		t.Fatal("dead worker command succeeded")
+	for _, argv := range [][]string{
+		{"/bin/false"},
+		{"/bin/sh", "-c", "echo worker exploded >&2; exit 1"},
+	} {
+		pool := NewPool(Job{Module: pristine.String(), Layer: LayerAsm},
+			PoolOpts{Procs: 2, command: argv})
+		_, err := campaign.RunSharded(nil, campaign.Spec{Runs: 20, Seed: 1}, campaign.ShardOpts{Shards: 2, Exec: pool})
+		if err == nil {
+			t.Fatalf("%v: dead worker command succeeded", argv)
+		}
+		if argv[0] == "/bin/sh" && !strings.Contains(err.Error(), "worker exploded") {
+			t.Fatalf("%v: child stderr missing from %v", argv, err)
+		}
 	}
 }
 
@@ -241,11 +264,4 @@ func TestJobRoundTrip(t *testing.T) {
 		back.Records[1] != res.Records[1] {
 		t.Fatalf("result round trip: %+v", back)
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -120,12 +120,18 @@ done
 # executed unsharded and sharded across 1, 2, and 4 worker processes
 # must print bit-identical statistics — any divergence in shard
 # partitioning, the worker protocol, or the merge shows up as a diff.
+# The record log written through the worker processes must also
+# byte-match the single-writer one.
 go build -o "$tmpdir/flowery" ./cmd/flowery
 "$tmpdir/flowery" inject -runs 400 -seed 7 crc32 >"$tmpdir/unsharded.out"
+"$tmpdir/flowery" inject -runs 400 -seed 7 \
+    -reclog "$tmpdir/unsharded.frl" crc32 >/dev/null
 for procs in 1 2 4; do
     "$tmpdir/flowery" inject -runs 400 -seed 7 -shards 8 \
+        -reclog "$tmpdir/pipe.frl" \
         -shard-workers "$procs" crc32 >"$tmpdir/sharded.out"
     diff "$tmpdir/unsharded.out" "$tmpdir/sharded.out"
+    cmp "$tmpdir/unsharded.frl" "$tmpdir/pipe.frl"
 done
 
 # Telemetry overhead guard: the no-op sink must cost <= 2% of simbench
